@@ -1,11 +1,11 @@
-//! Bench: the tracked performance baseline for the packed hot path.
+//! Bench: the tracked performance baseline.
 //!
 //! Unlike the figure benches, this target is a *gate input*: it prices
-//! the numbers the packed-table and cluster work are accountable for —
-//! single-predict latency (legacy vs packed), `predict_batch`
-//! throughput, per-rung service request latency on the packed
-//! backend, and the router-hop overhead (the same node served directly
-//! vs through the cluster front door) — and, when
+//! single-predict latency of the hybrid, one predict pass per
+//! registered backend, the delta journal codec, per-rung service
+//! request latency on the default hybrid backend, and the router-hop
+//! overhead (the same node served directly vs through the cluster
+//! front door) — and, when
 //! `CAP_BENCH_BASELINE_OUT` names a file, writes them as
 //! machine-readable JSON. `scripts/verify.sh bench` snapshots
 //! that JSON as `BENCH_<git-short-sha>.json` and diffs it against the
@@ -20,7 +20,6 @@ use cap_bench::bench_kit::Criterion;
 use cap_cluster::prelude::{LocalNode, Router, RouterConfig};
 use cap_predictor::drive::ControlState;
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
-use cap_predictor::packed::PackedHybridPredictor;
 use cap_predictor::types::{AddressPredictor, LoadContext};
 use cap_service::prelude::*;
 use cap_snapshot::{
@@ -38,11 +37,6 @@ const LOADS: usize = 4_000;
 /// Requests per timed iteration of the service benches — enough for
 /// stable percentiles, small enough that quick mode stays a smoke test.
 const REQUESTS: usize = 5_000;
-
-/// The service fast path collects at most this many predicts per batch;
-/// the batch bench uses the same width so its number prices the real
-/// drain, not an idealised one.
-const BATCH: usize = 32;
 
 /// Repeats of the whole workload inside one timed sample. A single
 /// 4k-load pass is ~100-200µs — short enough that a scheduler blip can
@@ -104,46 +98,21 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Times the predictor-level contenders: scalar predict on the legacy
-/// and packed hybrids, and the 32-wide `predict_batch` drain.
+/// Times scalar predict on the paper-default hybrid over warm tables.
+/// The id keeps its `legacy` suffix so `single_predict_legacy_ns`
+/// stays comparable with every earlier `BENCH_*.json`.
 fn bench_predict(c: &mut Criterion, loads: &[(LoadContext, u64)]) {
     let ctxs: Vec<LoadContext> = loads.iter().map(|(ctx, _)| *ctx).collect();
     let mut group = c.benchmark_group("baseline");
     group.sample_size(20);
 
-    let mut legacy = HybridPredictor::new(HybridConfig::paper_default());
-    warm(&mut legacy, loads);
+    let mut hybrid = HybridPredictor::new(HybridConfig::paper_default());
+    warm(&mut hybrid, loads);
     group.bench_function("single_predict_legacy", |b| {
         b.iter(|| {
             for _ in 0..REPS {
                 for ctx in &ctxs {
-                    black_box(legacy.predict(ctx));
-                }
-            }
-        });
-    });
-
-    let mut packed = PackedHybridPredictor::new(HybridConfig::paper_default());
-    warm(&mut packed, loads);
-    group.bench_function("single_predict_packed", |b| {
-        b.iter(|| {
-            for _ in 0..REPS {
-                for ctx in &ctxs {
-                    black_box(packed.predict(ctx));
-                }
-            }
-        });
-    });
-
-    let mut batched = PackedHybridPredictor::new(HybridConfig::paper_default());
-    warm(&mut batched, loads);
-    let mut out = Vec::with_capacity(BATCH);
-    group.bench_function("batch_predict_packed", |b| {
-        b.iter(|| {
-            for _ in 0..REPS {
-                for chunk in ctxs.chunks(BATCH) {
-                    batched.predict_batch(chunk, &mut out);
-                    black_box(out.len());
+                    black_box(hybrid.predict(ctx));
                 }
             }
         });
@@ -153,7 +122,7 @@ fn bench_predict(c: &mut Criterion, loads: &[(LoadContext, u64)]) {
 }
 
 /// Passes per timed sample of the per-backend catalog bench — smaller
-/// than [`REPS`] because seven backends share the group and only a
+/// than [`REPS`] because every backend shares the group and only a
 /// coarse per-row number is tracked, not a regression-gated delta.
 const BACKEND_REPS: usize = 2;
 
@@ -244,10 +213,11 @@ fn bench_journal(c: &mut Criterion) -> usize {
     events.len()
 }
 
-/// Prices every ladder rung on the packed backend: a single-worker
-/// pinned service (so routing never spreads the load), warmed with
-/// observes, then timed over predict-only round-trips. Returns
-/// `(rung name, p50, p99)` per rung from the last iteration's samples.
+/// Prices every ladder rung on the default hybrid backend: a
+/// single-worker pinned service (so routing never spreads the load),
+/// warmed with observes, then timed over predict-only round-trips.
+/// Returns `(rung name, p50, p99)` per rung from the last iteration's
+/// samples.
 fn bench_service(c: &mut Criterion) -> Vec<(&'static str, Duration, Duration)> {
     let mut group = c.benchmark_group("baseline-service");
     group.sample_size(5);
@@ -257,7 +227,6 @@ fn bench_service(c: &mut Criterion) -> Vec<(&'static str, Duration, Duration)> {
         let service = Service::start(ServiceConfig {
             workers: 1,
             pin_rung: Some(rung),
-            primary: BackendKind::PackedHybrid,
             ..ServiceConfig::default()
         });
         let handle = service.handle();
@@ -329,7 +298,6 @@ fn bench_cluster(c: &mut Criterion) -> [(Duration, Duration); 2] {
     let node = LocalNode::start(ServiceConfig {
         workers: 1,
         pin_rung: Some(Rung::Hybrid),
-        primary: BackendKind::PackedHybrid,
         ..ServiceConfig::default()
     })
     .expect("start bench node");
@@ -406,9 +374,6 @@ fn main() {
 
     let ops = loads.len() * REPS;
     let legacy_ns = ns_per_op(&criterion, "baseline/single_predict_legacy", ops);
-    let packed_ns = ns_per_op(&criterion, "baseline/single_predict_packed", ops);
-    let batch_ns = ns_per_op(&criterion, "baseline/batch_predict_packed", ops);
-    let batch_tp = if batch_ns > 0.0 { 1e9 / batch_ns } else { 0.0 };
     let journal_append_ns = ns_per_op(&criterion, "baseline-journal/journal_append", journal_records);
     let journal_replay_ns = ns_per_op(&criterion, "baseline-journal/journal_replay", journal_records);
 
@@ -437,7 +402,7 @@ fn main() {
         .collect();
     let backend_rows = backend_lines.join("\n");
     let json = format!(
-        "{{\n  \"schema\": \"cap-bench-baseline-v1\",\n  \"quick\": {quick},\n  \"loads\": {LOADS},\n  \"single_predict_legacy_ns\": {legacy_ns:.2},\n  \"single_predict_packed_ns\": {packed_ns:.2},\n  \"batch_predict_ns_per_load\": {batch_ns:.2},\n  \"batch_predict_loads_per_sec\": {batch_tp:.0},\n{backend_rows}\n  \"journal_append_ns_per_record\": {journal_append_ns:.2},\n  \"journal_replay_ns_per_record\": {journal_replay_ns:.2},\n  \"cluster_direct_p50_ns\": {},\n  \"cluster_direct_p99_ns\": {},\n  \"cluster_router_p50_ns\": {},\n  \"cluster_router_p99_ns\": {},\n  \"service\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"cap-bench-baseline-v1\",\n  \"quick\": {quick},\n  \"loads\": {LOADS},\n  \"single_predict_legacy_ns\": {legacy_ns:.2},\n{backend_rows}\n  \"journal_append_ns_per_record\": {journal_append_ns:.2},\n  \"journal_replay_ns_per_record\": {journal_replay_ns:.2},\n  \"cluster_direct_p50_ns\": {},\n  \"cluster_direct_p99_ns\": {},\n  \"cluster_router_p50_ns\": {},\n  \"cluster_router_p99_ns\": {},\n  \"service\": {{\n{}\n  }}\n}}\n",
         direct.0.as_nanos(),
         direct.1.as_nanos(),
         routed.0.as_nanos(),

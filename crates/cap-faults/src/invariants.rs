@@ -9,7 +9,6 @@
 use crate::target::FaultTarget;
 use cap_predictor::link_table::LinkTable;
 use cap_predictor::load_buffer::LbEntry;
-use cap_predictor::packed::PackedHybridPredictor;
 use std::error::Error;
 use std::fmt;
 
@@ -134,96 +133,6 @@ pub(crate) fn check_lt_entries(
                     format!("tag wider than {bits} bits: {:#x}", e.tag),
                 ));
             }
-        }
-    }
-    Ok(())
-}
-
-/// Packed-table checks: the same bounds as [`check_lb_entries`] /
-/// [`check_lt_entries`], read through the packed accessors. The raw field
-/// values are checked (not the reconstructed counters, whose constructors
-/// would mask an out-of-range value back into range and hide the bug).
-pub(crate) fn check_packed_hybrid(p: &PackedHybridPredictor) -> Result<(), InvariantViolation> {
-    let lb = p.load_buffer();
-    let proto = lb.proto();
-    let offset_bits = lb.offset_bits();
-    let hist_len = lb.history_spec().length;
-    for idx in lb.live_indices() {
-        let ip = lb.tag(idx);
-        for (name, raw, max) in [
-            ("cap", lb.cap_conf_value(idx), proto.cap_conf.max()),
-            ("stride", lb.stride_conf_value(idx), proto.stride_conf.max()),
-        ] {
-            if raw > max {
-                return Err(violation(
-                    "packed-hybrid/load-buffer",
-                    format!("{name} confidence counter out of range at ip {ip:#x}: {raw} > max {max}"),
-                ));
-            }
-        }
-        if lb.selector(idx) > 3 {
-            return Err(violation(
-                "packed-hybrid/load-buffer",
-                format!("selector not 2-bit at ip {ip:#x}: {}", lb.selector(idx)),
-            ));
-        }
-        if offset_bits < 32 && u64::from(lb.offset_lsb(idx)) >= (1u64 << offset_bits) {
-            return Err(violation(
-                "packed-hybrid/load-buffer",
-                format!(
-                    "offset LSBs wider than {offset_bits} bits at ip {ip:#x}: {:#x}",
-                    lb.offset_lsb(idx)
-                ),
-            ));
-        }
-        for (name, half) in [
-            ("architectural", cap_predictor::packed::HistHalf::Arch),
-            ("speculative", cap_predictor::packed::HistHalf::Spec),
-        ] {
-            if lb.hist_len(idx, half) > hist_len {
-                return Err(violation(
-                    "packed-hybrid/load-buffer",
-                    format!(
-                        "{name} history longer than spec ({hist_len}) at ip {ip:#x}: {}",
-                        lb.hist_len(idx, half)
-                    ),
-                ));
-            }
-        }
-    }
-    let lt = p.link_table();
-    if lt.occupancy() > lt.config().entries {
-        return Err(violation(
-            "packed-hybrid/link-table",
-            format!(
-                "occupancy {} exceeds capacity {}",
-                lt.occupancy(),
-                lt.config().entries
-            ),
-        ));
-    }
-    let tag_bits = lt.tag_bits();
-    for idx in lt.live_indices() {
-        if lt.pf(idx) > 0xF {
-            return Err(violation(
-                "packed-hybrid/link-table",
-                format!("PF bits not 4-bit: {:#x} (link {:#x})", lt.pf(idx), lt.link(idx)),
-            ));
-        }
-        if tag_bits < 64 && lt.tag(idx) >= (1u64 << tag_bits) {
-            return Err(violation(
-                "packed-hybrid/link-table",
-                format!("tag wider than {tag_bits} bits: {:#x}", lt.tag(idx)),
-            ));
-        }
-    }
-    for i in 0..lt.decoupled_len() {
-        let (pf, _) = lt.decoupled_slot(i);
-        if pf > 0xF {
-            return Err(violation(
-                "packed-hybrid/link-table",
-                format!("decoupled PF bits not 4-bit at slot {i}: {pf:#x}"),
-            ));
         }
     }
     Ok(())

@@ -8,13 +8,12 @@
 //! invariants checked by [`FaultTarget::check_invariants`] hold before
 //! *and* after any plan.
 
-use crate::invariants::{check_lb_entries, check_lt_entries, check_packed_hybrid, InvariantViolation};
+use crate::invariants::{check_lb_entries, check_lt_entries, InvariantViolation};
 use crate::plan::{flip_random_bit, FaultKind};
 use cap_predictor::cap::CapPredictor;
 use cap_predictor::hybrid::HybridPredictor;
 use cap_predictor::link_table::LinkTable;
 use cap_predictor::load_buffer::{LbEntry, LoadBuffer, StrideState};
-use cap_predictor::packed::{HistHalf, PackedHybridPredictor, PackedLinkTable, PackedLoadBuffer};
 use cap_predictor::stride::StridePredictor;
 use cap_rand::{rngs::StdRng, Rng};
 use cap_uarch::cache_level::{CacheLevelPredictor, LEVEL_MEMORY};
@@ -219,168 +218,6 @@ pub(crate) fn inject_lt(
     }
 }
 
-/// Injects one LB-class fault into a packed Load Buffer. Draw-for-draw
-/// identical to [`inject_lb`] so a same-seeded RNG stream perturbs a
-/// packed and a legacy predictor identically (the twin-chaos suite
-/// depends on this).
-pub(crate) fn inject_lb_packed(
-    lb: &mut PackedLoadBuffer,
-    kind: FaultKind,
-    offset_bits: u32,
-    rng: &mut StdRng,
-) -> bool {
-    let n = lb.occupancy();
-    if n == 0 {
-        return false;
-    }
-    let Some(idx) = lb.nth_live(rng.gen_range(0..n)) else {
-        return false;
-    };
-    match kind {
-        FaultKind::LbHistory => {
-            let slot = rng.gen::<u32>() as usize;
-            let bit = rng.gen_range(0..64u32);
-            // Prefer the speculative history half the time, falling back to
-            // the architectural one when it is empty.
-            if rng.gen_bool(0.5) && lb.hist_corrupt_bit(idx, HistHalf::Spec, slot, bit) {
-                true
-            } else {
-                lb.hist_corrupt_bit(idx, HistHalf::Arch, slot, bit)
-            }
-        }
-        FaultKind::LbOffset => {
-            if offset_bits == 0 {
-                return false;
-            }
-            let v = lb.offset_lsb(idx) ^ (1u32 << rng.gen_range(0..offset_bits));
-            lb.set_offset_lsb(idx, v);
-            true
-        }
-        FaultKind::LbConfidence => {
-            let raw: u8 = rng.gen();
-            if rng.gen_bool(0.5) {
-                let mut c = lb.cap_conf(idx);
-                c.corrupt_value(raw);
-                lb.set_cap_conf_value(idx, c.value());
-            } else {
-                let mut c = lb.stride_conf(idx);
-                c.corrupt_value(raw);
-                lb.set_stride_conf_value(idx, c.value());
-            }
-            true
-        }
-        FaultKind::LbCfi => {
-            let pattern = if rng.gen_bool(0.5) {
-                Some(rng.gen::<u64>())
-            } else {
-                None
-            };
-            let bits: u64 = rng.gen();
-            if rng.gen_bool(0.5) {
-                let mut c = lb.cap_cfi(idx);
-                c.corrupt(pattern, bits);
-                lb.set_cap_cfi(idx, c);
-            } else {
-                let mut c = lb.stride_cfi(idx);
-                c.corrupt(pattern, bits);
-                lb.set_stride_cfi(idx, c);
-            }
-            true
-        }
-        FaultKind::LbStride => {
-            match rng.gen_range(0..4u32) {
-                0 => {
-                    let v = flip_random_bit(lb.stride(idx) as u64, rng) as i64;
-                    lb.set_stride(idx, v);
-                }
-                1 => {
-                    let v = flip_random_bit(lb.last_addr(idx), rng);
-                    lb.set_last_addr(idx, v);
-                }
-                2 => {
-                    let s = [
-                        StrideState::Init,
-                        StrideState::Transient,
-                        StrideState::Steady,
-                    ][rng.gen_range(0..3usize)];
-                    lb.set_stride_state(idx, s);
-                }
-                _ => {
-                    let mut iv = lb.interval(idx);
-                    iv.learned = rng.gen_range(0..64u32);
-                    iv.run = rng.gen_range(0..64u32);
-                    lb.set_interval(idx, iv);
-                }
-            }
-            true
-        }
-        FaultKind::LbSelector => {
-            let v = rng.gen_range(0..4u32) as u8;
-            lb.set_selector(idx, v);
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Injects one LT-class fault into a packed Link Table — draw-for-draw
-/// identical to [`inject_lt`].
-pub(crate) fn inject_lt_packed(
-    lt: &mut PackedLinkTable,
-    kind: FaultKind,
-    tag_bits: u32,
-    rng: &mut StdRng,
-) -> bool {
-    // Decoupled-PF faults target the side table when one exists.
-    if kind == FaultKind::LtPf {
-        let slots = lt.decoupled_len();
-        if slots != 0 && rng.gen_bool(0.5) {
-            let i = rng.gen_range(0..slots);
-            let (mut pf, mut primed) = lt.decoupled_slot(i);
-            if rng.gen_bool(0.2) {
-                primed = !primed;
-            } else {
-                pf ^= 1u8 << rng.gen_range(0..4u32);
-            }
-            lt.set_decoupled_slot(i, pf, primed);
-            return true;
-        }
-    }
-    let n = lt.occupancy();
-    if n == 0 {
-        return false;
-    }
-    let Some(idx) = lt.nth_live(rng.gen_range(0..n)) else {
-        return false;
-    };
-    match kind {
-        FaultKind::LtLink => {
-            let v = flip_random_bit(lt.link(idx), rng);
-            lt.set_link(idx, v);
-            true
-        }
-        FaultKind::LtTag => {
-            if tag_bits == 0 {
-                return false;
-            }
-            let v = lt.tag(idx) ^ (1u64 << rng.gen_range(0..tag_bits));
-            lt.set_tag(idx, v);
-            true
-        }
-        FaultKind::LtPf => {
-            if rng.gen_bool(0.2) {
-                let v = !lt.pf_primed(idx);
-                lt.set_pf_primed(idx, v);
-            } else {
-                let v = lt.pf(idx) ^ (1u8 << rng.gen_range(0..4u32));
-                lt.set_pf(idx, v);
-            }
-            true
-        }
-        _ => false,
-    }
-}
-
 /// The paper-default widths assumed when a bare table is targeted without
 /// its owning predictor's configuration: 8 offset LSBs (§3.3) and 8 LT tag
 /// bits (§3.4).
@@ -492,29 +329,6 @@ impl FaultTarget for HybridPredictor {
             "hybrid/link-table",
             Some(params.history.tag_bits),
         )
-    }
-}
-
-impl FaultTarget for PackedHybridPredictor {
-    fn target_name(&self) -> &'static str {
-        "packed-hybrid"
-    }
-
-    fn supported_faults(&self) -> &'static [FaultKind] {
-        &FULL_KINDS
-    }
-
-    fn inject_fault(&mut self, kind: FaultKind, rng: &mut StdRng) -> bool {
-        let params = *self.cap_params();
-        if LT_KINDS.contains(&kind) {
-            inject_lt_packed(self.link_table_mut(), kind, params.history.tag_bits, rng)
-        } else {
-            inject_lb_packed(self.load_buffer_mut(), kind, params.offset_lsb_bits, rng)
-        }
-    }
-
-    fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        check_packed_hybrid(self)
     }
 }
 
@@ -704,44 +518,6 @@ mod tests {
         let mut p = HybridPredictor::new(HybridConfig::paper_default());
         warm(&mut p);
         drives_every_kind(&mut p, true);
-    }
-
-    #[test]
-    fn packed_hybrid_supports_and_survives_every_kind() {
-        let mut p = PackedHybridPredictor::new(HybridConfig::paper_default());
-        warm(&mut p);
-        drives_every_kind(&mut p, true);
-    }
-
-    #[test]
-    fn packed_and_legacy_hybrid_take_identical_fault_streams() {
-        // Same-seeded RNG streams must produce the same injection results
-        // AND leave both predictors making the same predictions — this is
-        // the property the twin-chaos suite scales up.
-        let mut legacy = HybridPredictor::new(HybridConfig::paper_default());
-        let mut packed = PackedHybridPredictor::new(HybridConfig::paper_default());
-        warm(&mut legacy);
-        warm(&mut packed);
-        let mut rng_l = StdRng::seed_from_u64(77);
-        let mut rng_p = StdRng::seed_from_u64(77);
-        for &kind in &FULL_KINDS {
-            for _ in 0..16 {
-                let a = legacy.inject_fault(kind, &mut rng_l);
-                let b = packed.inject_fault(kind, &mut rng_p);
-                assert_eq!(a, b, "injection result diverged for {kind:?}");
-            }
-        }
-        for i in 0..400u64 {
-            let ctx = LoadContext::new(0x400 + (i % 2) * 4, 8, i / 3);
-            let pl = legacy.predict(&ctx);
-            let pp = packed.predict(&ctx);
-            assert_eq!(pl, pp, "prediction diverged at step {i} after faults");
-            let addr = 0x1000 + i * 8;
-            legacy.update(&ctx, addr, &pl);
-            packed.update(&ctx, addr, &pp);
-        }
-        legacy.check_invariants().expect("legacy invariants hold");
-        packed.check_invariants().expect("packed invariants hold");
     }
 
     #[test]

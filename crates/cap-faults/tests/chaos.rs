@@ -12,7 +12,6 @@ use cap_predictor::cap::{CapConfig, CapPredictor};
 use cap_predictor::drive::{ControlState, Session};
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
 use cap_predictor::load_buffer::LoadBufferConfig;
-use cap_predictor::packed::PackedHybridPredictor;
 use cap_predictor::stride::{StrideParams, StridePredictor};
 use cap_predictor::types::{AddressPredictor, LoadContext};
 use cap_uarch::cache_level::{CacheLevelConfig, CacheLevelPredictor};
@@ -148,98 +147,35 @@ fn chaos_pcax_2000_injections() {
     assert!(p.tlb().hits() + p.tlb().misses() > 0);
 }
 
-/// Twin chaos: drives a legacy and a packed hybrid through the SAME
-/// seeded fault stream and the SAME trace slices, asserting the two stay
-/// bit-identical — equal injection results after every batch and equal
-/// predictions on every load, even over damaged tables.
-fn twin_chaos_rounds(
-    make_config: impl Fn() -> HybridConfig,
-    trace: &Trace,
-    injections: usize,
-    seed: u64,
-) -> usize {
-    const BATCH: usize = 100;
-    let mut legacy = HybridPredictor::new(make_config());
-    let mut packed = PackedHybridPredictor::new(make_config());
-    Session::new(&mut legacy).run(trace);
-    Session::new(&mut packed).run(trace);
-
-    let plan = FaultPlan::new(seed, BATCH);
-    let mut rng_l = plan.rng();
-    let mut rng_p = plan.rng();
-    let mut drive_rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let events: Vec<&TraceEvent> = trace.iter().collect();
-    let mut cursor = 0usize;
-    let slice = events.len() / (injections / BATCH).max(1);
-
-    let mut done = 0usize;
-    let mut applied = 0usize;
-    while done < injections {
-        let rl = plan.inject_with(&mut legacy, &mut rng_l);
-        let rp = plan.inject_with(&mut packed, &mut rng_p);
-        assert_eq!(rl.attempted, rp.attempted, "fault batch attempted diverged");
-        assert_eq!(rl.applied, rp.applied, "fault batch applied diverged");
-        done += rl.attempted;
-        applied += rl.applied;
-        check_invariants(&legacy).unwrap_or_else(|v| panic!("legacy after batch: {v}"));
-        check_invariants(&packed).unwrap_or_else(|v| panic!("packed after batch: {v}"));
-
-        let mut control = ControlState::default();
-        for event in events.iter().cycle().skip(cursor).take(slice.max(64)) {
-            match event {
-                TraceEvent::Load(load) => {
-                    if drive_rng.gen_bool(0.01) {
-                        control.ghr = flip_random_bit(control.ghr, &mut drive_rng);
-                    }
-                    let ctx = LoadContext {
-                        ip: load.ip,
-                        offset: load.offset,
-                        ghr: control.ghr,
-                        path: control.path,
-                        pending: 0,
-                    };
-                    let pl = legacy.predict(&ctx);
-                    let pp = packed.predict(&ctx);
-                    assert_eq!(pl, pp, "prediction diverged at ip {:#x} after faults", load.ip);
-                    legacy.update(&ctx, load.addr, &pl);
-                    packed.update(&ctx, load.addr, &pp);
-                }
-                TraceEvent::Branch(b) => control.on_branch(b.ip, b.taken, b.kind),
-                TraceEvent::Store(_) | TraceEvent::Op(_) => {}
-            }
-        }
-        cursor = (cursor + slice.max(64)) % events.len().max(1);
-        check_invariants(&legacy).unwrap_or_else(|v| panic!("legacy after driving: {v}"));
-        check_invariants(&packed).unwrap_or_else(|v| panic!("packed after driving: {v}"));
-    }
-    applied
-}
-
 #[test]
-fn chaos_twin_4000_injections_paper_default() {
-    let trace = catalog()[1].generate(8_000);
-    let applied = twin_chaos_rounds(HybridConfig::paper_default, &trace, 4_000, 0xCAFE_0010);
-    assert!(applied > 2_000, "most faults must land (applied {applied})");
-}
-
-#[test]
-fn chaos_twin_4000_injections_decoupled_pf() {
+fn chaos_hybrid_4000_injections_decoupled_pf() {
     use cap_predictor::link_table::PfMode;
-    let make = || {
-        let mut c = HybridConfig::paper_default();
-        c.lt.pf_mode = PfMode::Decoupled { extra_index_bits: 2 };
-        c
-    };
     let trace = catalog()[3 % catalog().len()].generate(8_000);
-    let applied = twin_chaos_rounds(make, &trace, 4_000, 0xCAFE_0011);
-    assert!(applied > 2_000, "most faults must land (applied {applied})");
+    let mut config = HybridConfig::paper_default();
+    config.lt.pf_mode = PfMode::Decoupled {
+        extra_index_bits: 2,
+    };
+    let mut p = HybridPredictor::new(config);
+    let report = chaos_rounds(&mut p, &trace, 4_000, 0xCAFE_0011);
+    assert_eq!(report.attempted, 4_000);
+    assert!(
+        report.applied > 2_000,
+        "most faults must land (applied {})",
+        report.applied
+    );
 }
 
 #[test]
-fn chaos_twin_2000_injections_pipelined() {
+fn chaos_hybrid_2000_injections_pipelined() {
     let trace = catalog()[2].generate(8_000);
-    let applied = twin_chaos_rounds(HybridConfig::paper_pipelined, &trace, 2_000, 0xCAFE_0012);
-    assert!(applied > 1_000, "most faults must land (applied {applied})");
+    let mut p = HybridPredictor::new(HybridConfig::paper_pipelined());
+    let report = chaos_rounds(&mut p, &trace, 2_000, 0xCAFE_0012);
+    assert_eq!(report.attempted, 2_000);
+    assert!(
+        report.applied > 1_000,
+        "most faults must land (applied {})",
+        report.applied
+    );
 }
 
 #[test]

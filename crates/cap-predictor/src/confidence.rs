@@ -159,18 +159,6 @@ impl ControlFlowIndication {
         }
     }
 
-    /// Reassembles an indication from raw parts — the inverse of the
-    /// getters below, used by bit-packed table layouts that store the
-    /// indication field-by-field.
-    #[must_use]
-    pub fn from_parts(bad_pattern: Option<u64>, path_bits: u64, initialised: bool) -> Self {
-        Self {
-            bad_pattern,
-            path_bits,
-            initialised,
-        }
-    }
-
     /// `LastMisprediction`: the recorded pattern, if any.
     #[must_use]
     pub fn bad_pattern(&self) -> Option<u64> {

@@ -14,10 +14,6 @@
 //! trace's branch outcomes and a folded call-site path (for the
 //! control-based ablation), and accounts statistics per the paper's
 //! definitions.
-//!
-//! The former free functions (`run_immediate`, `run_value_immediate`,
-//! `run_with_gap`, `run_with_wrong_path`) survive one release as thin
-//! deprecated wrappers over [`Session`].
 
 use crate::metrics::PredictorStats;
 use crate::types::{AddressPredictor, LoadContext, Prediction};
@@ -83,15 +79,12 @@ struct Pending {
     seq: u64,
 }
 
-/// A configured trace-driven evaluation run — the one entry point that
-/// replaces the former `run_immediate` / `run_value_immediate` /
-/// `run_with_gap` / `run_with_wrong_path` quartet.
+/// A configured trace-driven evaluation run.
 ///
 /// The default session is the immediate-update model of §4: each load
 /// is predicted and resolved before the next load is seen. The builder
 /// methods layer the paper's other models on top, and compose — a
-/// gapped session can also suffer wrong-path pollution, which the old
-/// free functions could not express.
+/// gapped session can also suffer wrong-path pollution.
 ///
 /// # Examples
 ///
@@ -237,11 +230,12 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
         } else if self.gap > 0 {
             self.run_gapped(trace)
         } else {
-            self.run_immediate(trace)
+            self.run_in_order(trace)
         }
     }
 
-    fn run_immediate(self, trace: &Trace) -> PredictorStats {
+    /// The §4 model: each load resolves before the next is predicted.
+    fn run_in_order(self, trace: &Trace) -> PredictorStats {
         let mut stats = PredictorStats::new();
         let mut control = ControlState::default();
         for event in trace.iter() {
@@ -414,60 +408,6 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
     }
 }
 
-/// Runs a predictor over a trace under the immediate-update model (§4).
-#[deprecated(since = "0.1.0", note = "use `drive::Session::new(predictor).run(trace)`")]
-pub fn run_immediate<P: AddressPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-) -> PredictorStats {
-    Session::new(predictor).run(trace)
-}
-
-/// Runs a predictor over a trace's *value* stream under the
-/// immediate-update model.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `drive::Session::new(predictor).values(true).run(trace)`"
-)]
-pub fn run_value_immediate<P: AddressPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-) -> PredictorStats {
-    Session::new(predictor).values(true).run(trace)
-}
-
-/// Runs a predictor over a trace with a *prediction gap* (§5).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `drive::Session::new(predictor).gap(gap).run(trace)`"
-)]
-pub fn run_with_gap<P: AddressPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-    gap: usize,
-) -> PredictorStats {
-    Session::new(predictor).gap(gap).run(trace)
-}
-
-/// Runs a predictor with *wrong-path pollution* (§5.4).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `drive::Session::new(predictor).wrong_path(p).wrong_path_depth(d).recovery(r).run(trace)`"
-)]
-pub fn run_with_wrong_path<P: AddressPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-    wrong_path_percent: u32,
-    wrong_path_depth: usize,
-    recovery: bool,
-) -> PredictorStats {
-    Session::new(predictor)
-        .wrong_path(wrong_path_percent)
-        .wrong_path_depth(wrong_path_depth)
-        .recovery(recovery)
-        .run(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,49 +550,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_session() {
-        // The one-release compatibility wrappers must stay bit-identical
-        // to the Session they delegate to.
-        let trace = cap_trace::suites::catalog()[1].generate(4_000);
-
-        let mut a = small_hybrid();
-        let mut b = small_hybrid();
-        assert_eq!(
-            run_immediate(&mut a, &trace),
-            Session::new(&mut b).run(&trace)
-        );
-
-        let mut a = small_hybrid();
-        let mut b = small_hybrid();
-        assert_eq!(
-            run_value_immediate(&mut a, &trace),
-            Session::new(&mut b).values(true).run(&trace)
-        );
-
-        let mut a = small_hybrid();
-        let mut b = small_hybrid();
-        assert_eq!(
-            run_with_gap(&mut a, &trace, 8),
-            Session::new(&mut b).gap(8).run(&trace)
-        );
-
-        let mut a = small_hybrid();
-        let mut b = small_hybrid();
-        assert_eq!(
-            run_with_wrong_path(&mut a, &trace, 15, 4, false),
-            Session::new(&mut b)
-                .wrong_path(15)
-                .wrong_path_depth(4)
-                .run(&trace)
-        );
-    }
-
-    #[test]
     fn gap_composes_with_wrong_path() {
-        // The combination the old quartet could not express: a gapped
-        // pipe suffering wrong-path pollution. All correct-path loads
-        // must still resolve, and pollution must not help.
+        // Two models composed: a gapped pipe suffering wrong-path
+        // pollution. All correct-path loads must still resolve, and
+        // pollution must not help.
         let trace = cap_trace::suites::catalog()[2].generate(10_000);
         let loads = trace.load_count() as u64;
         let mut clean = small_hybrid();

@@ -50,21 +50,6 @@ impl HistorySpec {
         self.index_bits + self.tag_bits
     }
 
-    /// Splits a folded accumulator of [`HistorySpec::width`] bits into
-    /// Link-Table index and tag — shared by the fold-on-demand buffer below
-    /// and incremental (bit-packed) folded registers.
-    #[must_use]
-    pub fn split(&self, h: u64) -> FoldedHistory {
-        FoldedHistory {
-            index: h & ((1u64 << self.index_bits) - 1),
-            tag: if self.tag_bits == 0 {
-                0
-            } else {
-                (h >> self.index_bits) & ((1u64 << self.tag_bits) - 1)
-            },
-        }
-    }
-
     /// Validates the spec.
     ///
     /// # Panics
@@ -153,7 +138,14 @@ impl HistoryBuffer {
             // All LSBs except the last two (alignment bits), per §3.2.
             h = ((h << spec.shift) ^ (a >> 2)) & mask;
         }
-        spec.split(h)
+        FoldedHistory {
+            index: h & ((1u64 << spec.index_bits) - 1),
+            tag: if spec.tag_bits == 0 {
+                0
+            } else {
+                (h >> spec.index_bits) & ((1u64 << spec.tag_bits) - 1)
+            },
+        }
     }
 
     /// True once at least `length` addresses are recorded.

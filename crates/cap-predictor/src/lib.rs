@@ -40,9 +40,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// The legacy `drive::run_*` wrappers are deprecated in favour of
-// `drive::Session`; denying here keeps internal callers from creeping
-// back before the wrappers are removed outright.
+// Anything this crate marks deprecated must be migrated off before it
+// lands, not left with internal callers.
 #![deny(deprecated)]
 
 pub mod cap;
@@ -56,7 +55,6 @@ pub mod last_addr;
 pub mod link_table;
 pub mod load_buffer;
 pub mod metrics;
-pub mod packed;
 pub mod profile;
 pub mod stride;
 pub mod types;
@@ -76,7 +74,6 @@ pub mod prelude {
     pub use crate::link_table::{LinkTableConfig, PfMode};
     pub use crate::load_buffer::LoadBufferConfig;
     pub use crate::metrics::PredictorStats;
-    pub use crate::packed::PackedHybridPredictor;
     pub use crate::profile::{LoadClass, LoadClassMap, ProfileGuidedPredictor, Profiler};
     pub use crate::stride::{StrideParams, StridePredictor};
     pub use crate::variable::{VariableHistoryCap, VariableHistoryConfig};

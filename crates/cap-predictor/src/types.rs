@@ -125,24 +125,6 @@ pub trait AddressPredictor {
     /// Resolves one dynamic load with its actual effective address.
     fn update(&mut self, ctx: &LoadContext, actual: u64, pred: &Prediction);
 
-    /// Predicts a whole slice of dynamic loads, appending one
-    /// [`Prediction`] per context to `out` in order.
-    ///
-    /// Semantically identical to calling
-    /// [`predict`](AddressPredictor::predict) once per context — the
-    /// default implementation does exactly that — but a predictor may
-    /// override it to amortise per-call dispatch over the slice (the
-    /// bit-packed tables in [`crate::packed`] do). Batch callers such as
-    /// the prediction service drain their queues through this entry
-    /// point.
-    fn predict_batch(&mut self, ctxs: &[LoadContext], out: &mut Vec<Prediction>) {
-        out.reserve(ctxs.len());
-        for ctx in ctxs {
-            let pred = self.predict(ctx);
-            out.push(pred);
-        }
-    }
-
     /// Human-readable predictor name (used in reports).
     fn name(&self) -> &'static str;
 

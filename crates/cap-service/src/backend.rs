@@ -16,7 +16,6 @@
 use cap_predictor::cap::{CapConfig, CapPredictor};
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
 use cap_predictor::load_buffer::LoadBufferConfig;
-use cap_predictor::packed::PackedHybridPredictor;
 use cap_predictor::stride::{StrideParams, StridePredictor};
 use cap_predictor::types::SharedPredictor;
 use cap_snapshot::{Restorable, SectionReader, SnapshotError};
@@ -34,10 +33,6 @@ pub enum BackendKind {
     Cap,
     /// Enhanced stride (§3.2).
     Stride,
-    /// The hybrid on the bit-packed flat tables — behaviourally
-    /// identical to [`BackendKind::Hybrid`], with a batch predict fast
-    /// path and no allocation on the predict path.
-    PackedHybrid,
     /// Stride addresses + per-PC cache-level prediction against the
     /// `cap-uarch` hierarchy model (Jalili & Erez).
     CacheLevel,
@@ -90,10 +85,6 @@ fn build_stride() -> Box<dyn SharedPredictor> {
     ))
 }
 
-fn build_packed_hybrid() -> Box<dyn SharedPredictor> {
-    Box::new(PackedHybridPredictor::new(HybridConfig::paper_default()))
-}
-
 fn build_cache_level() -> Box<dyn SharedPredictor> {
     Box::new(CacheLevelPredictor::new(CacheLevelConfig::paper_default()))
 }
@@ -135,13 +126,12 @@ pub static BACKEND_REGISTRY: &[BackendDescriptor] = &[
         build: build_stride,
         restore: restore_boxed::<StridePredictor>,
     },
-    BackendDescriptor {
-        kind: BackendKind::PackedHybrid,
-        name: "packed-hybrid",
-        tag: 3,
-        build: build_packed_hybrid,
-        restore: restore_boxed::<PackedHybridPredictor>,
-    },
+    // Tag 3 is retired, never to be reused. It named a second
+    // implementation of the hybrid whose snapshot layout differed from
+    // `HybridPredictor`'s, so an alias to `hybrid` would have kept a
+    // decoder for that layout alive. A tag-3 archive fails with
+    // `BadSnapshot` like any unregistered tag, and
+    // `Service::restore_or_cold` turns that into a counted cold start.
     BackendDescriptor {
         kind: BackendKind::CacheLevel,
         name: "cache-level",
@@ -226,13 +216,6 @@ impl BackendKind {
             .find(|d| d.name.eq_ignore_ascii_case(s))
             .map(|d| d.kind)
             .ok_or_else(|| BackendParseError { input: s.to_owned() })
-    }
-
-    /// Parses a CLI/wire name.
-    #[deprecated(since = "0.2.0", note = "use BackendKind::parse, which reports valid names")]
-    #[must_use]
-    pub fn parse_opt(s: &str) -> Option<Self> {
-        Self::parse(s).ok()
     }
 
     /// Snapshot tag.
@@ -320,10 +303,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_option_shim_still_parses() {
-        assert_eq!(BackendKind::parse_opt("hybrid"), Some(BackendKind::Hybrid));
-        assert_eq!(BackendKind::parse_opt("nope"), None);
+    fn retired_tag_3_stays_unclaimed() {
+        assert!(
+            BACKEND_REGISTRY.iter().all(|d| d.tag != 3),
+            "tag 3 is retired and must never be reused"
+        );
     }
 
     #[test]

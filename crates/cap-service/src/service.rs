@@ -775,155 +775,11 @@ impl Worker {
         }
     }
 
-    /// Whether an envelope can join a predict batch: a deadline-free
-    /// predict-only request. Observes never batch (their predict+update
-    /// pairs must not reorder against each other), and deadline-carrying
-    /// requests keep the per-request budget checks of the scalar path.
-    fn batchable(env: &Envelope) -> bool {
-        env.deadline.is_none() && matches!(env.job, Job::Serve(Request::Predict { .. }))
-    }
-
-    /// Serves a run of deadline-free predict-only envelopes through one
-    /// `predict_batch` call on the active rung — one rung decision, one
-    /// breaker charge, one sandbox, N replies. Each envelope still gets
-    /// exactly one reply.
-    fn serve_predict_batch(&mut self, batch: Vec<Envelope>) {
-        let now = Instant::now();
-        let rung = match self.pin_rung {
-            Some(r) => r,
-            None => {
-                let inputs = LadderInputs {
-                    hybrid_available: self.slots[0].breaker.call_permitted(now),
-                    stride_available: self.slots[1].breaker.call_permitted(now),
-                    queue_depth: self.depth.load(Ordering::Acquire),
-                };
-                self.ladder.reassess(&inputs)
-            }
-        };
-        let ctxs: Vec<LoadContext> = batch
-            .iter()
-            .filter_map(|env| match env.job {
-                Job::Serve(Request::Predict { ip, offset, ghr }) => {
-                    Some(LoadContext::new(ip, offset, ghr))
-                }
-                _ => None,
-            })
-            .collect();
-        debug_assert_eq!(ctxs.len(), batch.len(), "batch must be predict-only");
-
-        let preds = match rung {
-            Rung::Bypass => Some(vec![Prediction::none(); ctxs.len()]),
-            rung => {
-                let slot = &mut self.slots[if rung == Rung::StrideOnly { 1 } else { 0 }];
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut out = Vec::with_capacity(ctxs.len());
-                    slot.backend.predict_batch(&ctxs, &mut out);
-                    out
-                }));
-                match result {
-                    Ok(out) if out.len() == ctxs.len() => {
-                        slot.breaker.on_success(now);
-                        Some(out)
-                    }
-                    // A short answer is a backend bug; treat it like a
-                    // panic so every caller still gets a reply.
-                    Ok(_) | Err(_) => {
-                        slot.breaker.on_failure(now);
-                        None
-                    }
-                }
-            }
-        };
-
-        match preds {
-            Some(preds) => {
-                for (env, pred) in batch.into_iter().zip(preds) {
-                    self.ladder.note_outcome(true);
-                    self.counters.served += 1;
-                    self.counters.served_by_rung[rung.index()] += 1;
-                    self.obs.incr(names::SERVED);
-                    if self.obs.enabled() {
-                        self.obs.record(
-                            names::LATENCY_BY_RUNG[rung.index()],
-                            now.elapsed().as_micros() as u64,
-                        );
-                    }
-                    let _ = env.reply.send(Ok(Reply::Response(Response::Predicted {
-                        addr: pred.addr,
-                        speculate: pred.speculate,
-                        rung,
-                    })));
-                }
-            }
-            None => {
-                let component =
-                    self.slots[if rung == Rung::StrideOnly { 1 } else { 0 }].kind.name();
-                self.counters.backend_panics += 1;
-                self.obs.incr(names::BACKEND_PANIC);
-                self.ladder.note_outcome(false);
-                for env in batch {
-                    let _ = env
-                        .reply
-                        .send(Err(ServiceError::BackendPanicked { component }));
-                }
-            }
-        }
-    }
-
     fn run(mut self, rx: &Receiver<Envelope>) -> WorkerFinal {
-        /// Upper bound on one batch drain — enough to amortise dispatch,
-        /// small enough to keep rung reassessment responsive.
-        const BATCH_MAX: usize = 32;
         let mut drain_rejected = 0u64;
-        let mut pending: std::collections::VecDeque<Envelope> = std::collections::VecDeque::new();
         loop {
-            let env = if let Some(env) = pending.pop_front() {
-                env
-            } else {
-                let Ok(env) = rx.recv() else { break };
-                self.depth.fetch_sub(1, Ordering::AcqRel);
-                env
-            };
-
-            // Batch fast path: a run of deadline-free predict-only
-            // requests at the queue head drains through one
-            // `predict_batch` call. Chaos and drain mode fall back to
-            // the scalar path, whose per-request bookkeeping they need.
-            let env = if Self::batchable(&env)
-                && pending.is_empty()
-                && self.chaos.lock().expect("chaos lock").is_none()
-                && !self
-                    .drain_deadline
-                    .lock()
-                    .expect("drain lock")
-                    .is_some_and(|d| Instant::now() > d)
-            {
-                let mut batch = vec![env];
-                while batch.len() < BATCH_MAX {
-                    match rx.try_recv() {
-                        Ok(next) => {
-                            self.depth.fetch_sub(1, Ordering::AcqRel);
-                            if Self::batchable(&next) {
-                                batch.push(next);
-                            } else {
-                                // Handled right after the batch, in
-                                // arrival order.
-                                pending.push_back(next);
-                                break;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-                if batch.len() > 1 {
-                    self.serve_predict_batch(batch);
-                    continue;
-                }
-                batch.pop().expect("batch holds the head envelope")
-            } else {
-                env
-            };
-
+            let Ok(env) = rx.recv() else { break };
+            self.depth.fetch_sub(1, Ordering::AcqRel);
             let is_stop = matches!(env.job, Job::Stop);
             let was_draining = self
                 .drain_deadline
@@ -954,10 +810,6 @@ impl Worker {
                 // structured ShuttingDown reply before the worker
                 // exits. (A submit racing the accepting flag can land
                 // an envelope here; it is answered, not dropped.)
-                for tail in pending.drain(..) {
-                    drain_rejected += 1;
-                    let _ = tail.reply.send(Err(ServiceError::ShuttingDown));
-                }
                 while let Ok(tail) = rx.try_recv() {
                     self.depth.fetch_sub(1, Ordering::AcqRel);
                     drain_rejected += 1;
@@ -1528,6 +1380,52 @@ mod tests {
     }
 
     #[test]
+    fn retired_tag_3_archive_starts_cold() {
+        // A well-formed archive whose primary backend tag is the retired
+        // 3: real worker sections, re-framed under a doctored meta.
+        let config = small_config();
+        let donor = Service::start(config.clone());
+        let bytes = donor.shutdown(Duration::from_millis(100)).snapshot;
+        let archive = SnapshotArchive::parse(&bytes).expect("donor archive parses");
+        let mut meta = SectionWriter::new();
+        meta.put_u32(SERVICE_SNAPSHOT_VERSION);
+        meta.put_u64(config.workers as u64);
+        meta.put_u8(3);
+        meta.put_u8(config.fallback.tag());
+        let mut b = SnapshotBuilder::new();
+        b.add_raw(SEC_SERVICE, meta.into_bytes());
+        for i in 0..config.workers {
+            let name = worker_section_name(i);
+            let section = archive.section(&name).expect("worker section");
+            b.add_raw(&name, section.to_vec());
+        }
+        let doctored = b.finish();
+
+        match Service::start_restored(config.clone(), &doctored) {
+            Err(ServiceError::BadSnapshot(msg)) => assert!(
+                msg.contains("primary backend tag 3 is not registered"),
+                "error must name the retired tag: {msg}"
+            ),
+            Err(e) => panic!("expected BadSnapshot, got {e:?}"),
+            Ok(s) => {
+                let _ = s.shutdown(Duration::from_millis(100));
+                panic!("a tag-3 archive must not restore");
+            }
+        }
+
+        let registry = Arc::new(cap_obs::Registry::new());
+        let mut config = config;
+        config.obs = registry.obs();
+        let (cold, used) = Service::restore_or_cold(config, Some(&doctored));
+        assert!(!used, "a tag-3 archive must start cold");
+        let _ = cold.shutdown(Duration::from_millis(100));
+        assert_eq!(
+            registry.snapshot().counter(names::SNAPSHOT_DEGRADED_COLD),
+            Some(1)
+        );
+    }
+
+    #[test]
     fn registry_reconciles_with_legacy_stats_views() {
         let registry = Arc::new(cap_obs::Registry::new());
         let mut config = small_config();
@@ -1570,21 +1468,19 @@ mod tests {
     }
 
     #[test]
-    fn predict_floods_drain_in_batches_on_the_packed_backend() {
-        // Many concurrent deadline-free predicts against one worker: the
-        // queue head becomes a run of batchable envelopes, so the worker
-        // drains them through `predict_batch`. The observable contract
-        // stays exactly one valid reply per accepted request.
+    fn predict_flood_gets_exactly_one_reply_per_request() {
+        // Many concurrent deadline-free predicts against one worker on
+        // the default hybrid: a full queue sheds and the callers retry,
+        // but every accepted request gets exactly one valid reply.
         let config = ServiceConfig {
             workers: 1,
             queue_capacity: 64,
-            primary: BackendKind::PackedHybrid,
             ..ServiceConfig::default()
         };
         let service = Service::start(config);
         let handle = service.handle();
 
-        // Train a stride so batched predicts have addresses to produce.
+        // Train a stride so the predicts have addresses to produce.
         for i in 0..100u64 {
             handle.call(observe(0x400, 0x1000 + i * 8), None).unwrap();
         }
@@ -1632,11 +1528,6 @@ mod tests {
 
         let stats = handle.stats().unwrap();
         assert_eq!(stats.workers[0].served, 900, "100 observes + 800 predicts");
-        assert_eq!(
-            stats.workers[0].breakers[0].component,
-            "packed-hybrid",
-            "primary slot is the packed backend"
-        );
         // Predict-only traffic records no loads.
         assert_eq!(stats.merged_predictor().loads, 100);
         let report = service.shutdown(Duration::from_secs(1));

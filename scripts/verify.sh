@@ -24,8 +24,8 @@
 #            under lying fsyncs, resume bit-identical), a scripted
 #            kill -9 → journal-replay → bit-identity smoke, and the
 #            no-direct-std::fs grep over the checkpoint/journal paths
-#   bench    just the perf-baseline gate: the packed-vs-legacy
-#            differential, then the baseline bench emitting
+#   bench    just the perf-baseline gate: the hybrid golden matrix,
+#            then the baseline bench emitting
 #            BENCH_<git-short-sha>.json and diffing it against the
 #            newest prior baseline (>10% single-predict regression
 #            fails)
@@ -104,18 +104,6 @@ core_gates() {
         echo "ERROR: external dependency reference found in a manifest" >&2
         exit 1
     fi
-
-    step "deprecated drive wrappers: no callers outside their definition"
-    # The one-release run_* compatibility shims must not regrow callers
-    # before removal; cap-predictor also carries #![deny(deprecated)],
-    # this grep covers the crates that don't.
-    if grep -rn 'run_immediate\|run_value_immediate\|run_with_gap\|run_with_wrong_path' \
-        crates/*/src crates/*/tests crates/*/benches crates/*/examples 2>/dev/null \
-        | grep -v '^crates/cap-predictor/src/drive.rs:'; then
-        echo "ERROR: a caller of the deprecated drive::run_* wrappers crept back in" >&2
-        exit 1
-    fi
-    echo "deprecated-wrapper grep: clean"
 }
 
 # The service gate: chaos soak (seeded, bounded), graceful-shutdown
@@ -582,16 +570,15 @@ storage_gate() {
     echo "vfs-seam grep: clean"
 }
 
-# The perf-baseline gate: prove the packed hot path still predicts
-# bit-identically to the legacy structs, then price it. The baseline
-# bench writes BENCH_<git-short-sha>.json at the repo root (tracked, so
-# every PR extends the perf trajectory); when a prior baseline exists
-# the gate diffs single-predict latency against it and fails on a >10%
-# regression of either the packed or the legacy path.
+# The perf-baseline gate: prove the hybrid still predicts exactly as
+# its golden matrix pins, then price it. The baseline bench writes
+# BENCH_<git-short-sha>.json at the repo root (tracked, so every PR
+# extends the perf trajectory); when a prior baseline exists the gate
+# diffs single-predict latency against it and fails on a >10%
+# regression.
 bench_gate() {
-    step "bench: packed-vs-legacy differential (release)"
-    cargo test -q --offline --release -p cap-predictor --test packed_differential
-    cargo test -q --offline --release -p cap-faults --test packed_surface
+    step "bench: hybrid golden matrix (release)"
+    cargo test -q --offline --release -p cap-predictor --test hybrid_golden
 
     step "bench: emit tracked baseline JSON"
     local sha out prev
@@ -610,8 +597,7 @@ bench_gate() {
             exit 1
         }
         local key
-        for key in single_predict_legacy_ns single_predict_packed_ns \
-            batch_predict_loads_per_sec journal_append_ns_per_record \
+        for key in single_predict_legacy_ns journal_append_ns_per_record \
             journal_replay_ns_per_record cluster_direct_p50_ns \
             cluster_direct_p99_ns cluster_router_p50_ns \
             cluster_router_p99_ns p50_ns p99_ns \
@@ -624,11 +610,11 @@ bench_gate() {
         echo "baseline written: $out"
     }
 
-    # Returns nonzero if either single-predict latency regressed >10%
-    # vs $prev; prints the comparison either way.
+    # Returns nonzero if single-predict latency regressed >10% vs
+    # $prev; prints the comparison either way.
     diff_baseline() {
         local field old new ok=0
-        for field in single_predict_packed_ns single_predict_legacy_ns; do
+        for field in single_predict_legacy_ns; do
             old=$(sed -n "s/.*\"$field\": \([0-9.]*\).*/\1/p" "$prev")
             new=$(sed -n "s/.*\"$field\": \([0-9.]*\).*/\1/p" "$out")
             if [ -z "$old" ]; then
@@ -778,8 +764,8 @@ backends_gate() {
         count=$((count + 1))
         echo "backend smoke [$b]: served, drained, warm restart bit-identical"
     done
-    if [ "$count" -lt 7 ]; then
-        echo "ERROR: expected at least 7 registered backends, smoked $count" >&2
+    if [ "$count" -lt 6 ]; then
+        echo "ERROR: expected at least 6 registered backends, smoked $count" >&2
         exit 1
     fi
     echo "backend smoke: $count backends selectable end-to-end"
