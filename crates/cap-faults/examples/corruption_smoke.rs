@@ -2,8 +2,8 @@
 //! through both parsers, plus 1 000 seeded mutations of a snapshot archive
 //! through the checkpoint loader. Exits nonzero (panics) if any parser or
 //! loader panics, returns anything but a structured result, or the
-//! lenient parser fails on in-memory input. Wired into `scripts/verify.sh`
-//! as the `faults` gate.
+//! lenient parser fails on in-memory input. `scripts/verify.sh` runs it
+//! as one of its core steps.
 
 use cap_faults::snapshot::{corrupt_snapshot, SnapshotMutationKind};
 use cap_predictor::drive::Session;

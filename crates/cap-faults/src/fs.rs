@@ -10,8 +10,8 @@
 //!
 //! * [`RealVfs`] — a passthrough to `std::fs`, used by production paths.
 //!   It is the *only* place in the workspace where checkpoint/journal
-//!   code is allowed to touch `std::fs` (`scripts/verify.sh storage`
-//!   greps for violations).
+//!   code is allowed to touch `std::fs` (the root
+//!   `tests/repo_invariants.rs` scans for violations).
 //! * [`ChaosVfs`] — a seeded, deterministic, fully in-memory disk with a
 //!   **volatile/durable split**: writes land in a simulated page cache,
 //!   and only a successful (non-lying) `sync_file`/`sync_dir` promotes

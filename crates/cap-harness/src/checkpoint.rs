@@ -25,7 +25,7 @@
 //! any implementation (the chaos suite passes
 //! [`cap_faults::fs::ChaosVfs`]); the plain-named wrappers bind
 //! [`RealVfs`]. This module performs **no** direct `std::fs` calls;
-//! `scripts/verify.sh storage` greps to keep it that way.
+//! the root `tests/repo_invariants.rs` keeps it that way.
 
 use crate::names;
 use cap_faults::fs::{RealVfs, Vfs};

@@ -23,8 +23,6 @@
 //! identical** to its control twin — the strongest possible statement
 //! that the partition neither lost nor duplicated a single training
 //! event.
-//!
-//! Set `CAP_SOAK_QUICK=1` to run a shortened (but same-shape) soak.
 
 use cap_cluster::prelude::*;
 use cap_faults::prelude::{ChaosProxy, NetFaultConfig, NetFaultPlan, PartitionMode};
@@ -38,10 +36,6 @@ use std::time::Duration;
 /// One seed for the whole soak: fault draws, traffic stream, partition
 /// windows. A failure replays exactly from this number.
 const PLAN_SEED: u64 = 0x9A87_1710_2024_CAFE;
-
-fn quick() -> bool {
-    std::env::var("CAP_SOAK_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -136,7 +130,7 @@ impl Ledger {
 
 #[test]
 fn phase_a_exact_accounting_under_full_chaos() {
-    let total: usize = if quick() { 2_500 } else { 10_000 };
+    let total: usize = 10_000;
     let stream = traffic(total);
 
     let nodes: Vec<LocalNode> = (0..3).map(|_| LocalNode::start(node_config()).expect("node")).collect();
@@ -266,7 +260,7 @@ fn pull_direct(addr: std::net::SocketAddr) -> Vec<u8> {
 
 #[test]
 fn phase_b_partition_heals_to_bit_identical_state() {
-    let total: usize = if quick() { 1_500 } else { 6_000 };
+    let total: usize = 6_000;
     let stream = traffic(total);
 
     // Subject fleet: two nodes behind quiet proxies (pure pipes plus

@@ -2,7 +2,8 @@
 //! killed hard (exit 137) at an arbitrary event and restarted with
 //! `--resume auto` must finish with **bit-identical** metrics to an
 //! uninterrupted run — including with chaos injection enabled, since the
-//! supervisor's PRNG rides in the checkpoint.
+//! supervisor's PRNG rides in the checkpoint, and with a delta journal,
+//! whose records the resume replays on top of the newest checkpoint.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -60,8 +61,21 @@ fn metrics_of(json: &str) -> Vec<String> {
         .collect()
 }
 
-fn differential_kill_resume(tag: &str, chaos: &[&str]) {
+/// The value of a `"key": <u64>` line in a JSON report, if present.
+fn u64_field(json: &str, key: &str) -> Option<u64> {
+    json.lines()
+        .find_map(|l| l.trim_start().strip_prefix(&format!("\"{key}\": ")))
+        .and_then(|v| v.trim_end_matches(',').parse().ok())
+}
+
+/// `journal_every`, when set, adds `--journal-every` to the checkpointed
+/// runs: the kill must then leave a journal on disk and the resume must
+/// replay it.
+fn differential_kill_resume(tag: &str, chaos: &[&str], journal_every: Option<u64>) {
     let dir = temp_dir(tag);
+    let journal: Vec<String> = journal_every
+        .map(|n| vec!["--journal-every".to_owned(), n.to_string()])
+        .unwrap_or_default();
     let trace = gen_trace(&dir, 4_000);
     let ckpts = dir.join("ckpts");
 
@@ -86,6 +100,7 @@ fn differential_kill_resume(tag: &str, chaos: &[&str]) {
         .arg(&ckpts)
         .args(["--checkpoint-every", "700", "--kill-after", "3000"])
         .args(chaos)
+        .args(&journal)
         .output()
         .expect("spawn killed run");
     assert_eq!(
@@ -99,6 +114,13 @@ fn differential_kill_resume(tag: &str, chaos: &[&str]) {
         "a killed run reports nothing — only its checkpoints survive"
     );
     assert!(fs::read_dir(&ckpts).unwrap().count() > 0, "checkpoints on disk");
+    if journal_every.is_some() {
+        let journaled = fs::read_dir(&ckpts).unwrap().any(|e| {
+            let name = e.unwrap().file_name().to_string_lossy().into_owned();
+            name.starts_with("journal-") && name.ends_with(".capj")
+        });
+        assert!(journaled, "a journaled run leaves its journal on disk");
+    }
 
     // Resumed run: recovers the newest checkpoint and finishes.
     let resumed = simulate()
@@ -109,6 +131,7 @@ fn differential_kill_resume(tag: &str, chaos: &[&str]) {
         .arg(&ckpts)
         .args(["--checkpoint-every", "700", "--resume", "auto", "--json"])
         .args(chaos)
+        .args(&journal)
         .output()
         .expect("spawn resumed run");
     let resumed_stdout = stdout_of(&resumed);
@@ -116,6 +139,13 @@ fn differential_kill_resume(tag: &str, chaos: &[&str]) {
         resumed_stdout.contains("\"resumed_from\": \"") && resumed_stdout.contains("ckpt-"),
         "must actually resume: {resumed_stdout}"
     );
+    if journal_every.is_some() {
+        let replayed = u64_field(&resumed_stdout, "journal_replayed");
+        assert!(
+            replayed.is_some_and(|n| n > 0),
+            "resume must replay the delta journal: {resumed_stdout}"
+        );
+    }
     assert_eq!(
         metrics_of(&resumed_stdout),
         reference_metrics,
@@ -127,12 +157,17 @@ fn differential_kill_resume(tag: &str, chaos: &[&str]) {
 
 #[test]
 fn killed_run_resumes_bit_identical() {
-    differential_kill_resume("plain", &[]);
+    differential_kill_resume("plain", &[], None);
 }
 
 #[test]
 fn killed_chaotic_run_resumes_bit_identical() {
-    differential_kill_resume("chaos", &["--chaos-every", "150"]);
+    differential_kill_resume("chaos", &["--chaos-every", "150"], None);
+}
+
+#[test]
+fn killed_journaled_run_replays_the_journal_bit_identical() {
+    differential_kill_resume("journal", &[], Some(128));
 }
 
 #[test]

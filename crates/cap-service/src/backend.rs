@@ -8,8 +8,8 @@
 //! snapshot decoder) lives in exactly one row of [`BACKEND_REGISTRY`];
 //! the [`BackendKind`] methods are thin lookups over it, which is why
 //! registering a new backend is a one-row edit and why nothing outside
-//! this module is allowed to `match` on `BackendKind` (enforced by
-//! `scripts/verify.sh backends`). Restore paths decode through
+//! this module is allowed to `match` on `BackendKind` (enforced by the
+//! root `tests/repo_invariants.rs`). Restore paths decode through
 //! [`BackendKind`] tags because `Restorable` is a constructor and
 //! cannot ride on the trait object.
 
