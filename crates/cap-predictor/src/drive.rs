@@ -19,7 +19,6 @@ use crate::metrics::PredictorStats;
 use crate::types::{AddressPredictor, LoadContext, Prediction};
 use cap_obs::Obs;
 use cap_trace::{BranchKind, Trace, TraceEvent};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Architectural control-flow state carried alongside the instruction
@@ -77,6 +76,12 @@ struct Pending {
     actual: u64,
     /// Index (in dynamic instructions) at which the load was predicted.
     seq: u64,
+}
+
+/// Unresolved instances of the load at `ip` in the gap pipeline (the
+/// pipe holds at most `gap + 1` entries).
+fn in_flight(pipe: &VecDeque<Pending>, ip: u64) -> u32 {
+    pipe.iter().filter(|p| p.ctx.ip == ip).count() as u32
 }
 
 /// A configured trace-driven evaluation run.
@@ -140,9 +145,10 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
     /// is what lets a context predictor resume after a misprediction
     /// chain — the paper's §5.2 observation that "correct context-based
     /// predictions should resume on the next traversal". The session
-    /// also maintains, per static load, the number of unresolved
-    /// in-flight instances and passes it as [`LoadContext::pending`] so
-    /// the stride catch-up and interval mechanisms can extrapolate.
+    /// also counts, from the gap queue, the unresolved in-flight
+    /// instances of each load and passes the count as
+    /// [`LoadContext::pending`] so the stride catch-up and interval
+    /// mechanisms can extrapolate.
     pub fn gap(mut self, gap: usize) -> Self {
         self.gap = gap;
         self
@@ -259,21 +265,10 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
         let mut stats = PredictorStats::new();
         let mut control = ControlState::default();
         let mut pipe: VecDeque<Pending> = VecDeque::with_capacity(gap + 1);
-        let mut in_flight: HashMap<u64, u32> = HashMap::new();
 
-        let resolve = |predictor: &mut P,
-                       stats: &mut PredictorStats,
-                       in_flight: &mut HashMap<u64, u32>,
-                       obs: &Obs,
-                       p: Pending| {
+        let resolve = |predictor: &mut P, stats: &mut PredictorStats, obs: &Obs, p: Pending| {
             predictor.update(&p.ctx, p.actual, &p.pred);
             stats.record_with(&p.pred, p.actual, obs);
-            if let Some(n) = in_flight.get_mut(&p.ctx.ip) {
-                *n -= 1;
-                if *n == 0 {
-                    in_flight.remove(&p.ctx.ip);
-                }
-            }
         };
 
         for (seq, event) in trace.iter().enumerate() {
@@ -285,15 +280,13 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
                 .then(|| pipe.pop_front())
                 .flatten()
             {
-                resolve(self.predictor, &mut stats, &mut in_flight, &self.obs, p);
+                resolve(self.predictor, &mut stats, &self.obs, p);
             }
             match event {
                 TraceEvent::Load(load) => {
-                    let pending = in_flight.get(&load.ip).copied().unwrap_or(0);
-                    let ctx = self.context_of(load, &control, pending);
+                    let ctx = self.context_of(load, &control, in_flight(&pipe, load.ip));
                     let actual = self.actual_of(load);
                     let pred = self.predictor.predict(&ctx);
-                    *in_flight.entry(load.ip).or_insert(0) += 1;
                     pipe.push_back(Pending {
                         ctx,
                         pred,
@@ -306,7 +299,7 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
             }
         }
         while let Some(p) = pipe.pop_front() {
-            resolve(self.predictor, &mut stats, &mut in_flight, &self.obs, p);
+            resolve(self.predictor, &mut stats, &self.obs, p);
         }
         stats
     }
@@ -316,22 +309,11 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
         let mut stats = PredictorStats::new();
         let mut control = ControlState::default();
         let mut pipe: VecDeque<Pending> = VecDeque::with_capacity(gap + 1);
-        let mut in_flight: HashMap<u64, u32> = HashMap::new();
         let events: Vec<&TraceEvent> = trace.iter().collect();
 
-        let resolve = |predictor: &mut P,
-                       stats: &mut PredictorStats,
-                       in_flight: &mut HashMap<u64, u32>,
-                       obs: &Obs,
-                       p: Pending| {
+        let resolve = |predictor: &mut P, stats: &mut PredictorStats, obs: &Obs, p: Pending| {
             predictor.update(&p.ctx, p.actual, &p.pred);
             stats.record_with(&p.pred, p.actual, obs);
-            if let Some(n) = in_flight.get_mut(&p.ctx.ip) {
-                *n -= 1;
-                if *n == 0 {
-                    in_flight.remove(&p.ctx.ip);
-                }
-            }
         };
 
         for (i, event) in events.iter().enumerate() {
@@ -343,21 +325,16 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
                     .then(|| pipe.pop_front())
                     .flatten()
                 {
-                    resolve(self.predictor, &mut stats, &mut in_flight, &self.obs, p);
+                    resolve(self.predictor, &mut stats, &self.obs, p);
                 }
             }
             match event {
                 TraceEvent::Load(load) => {
-                    let pending = if gap > 0 {
-                        in_flight.get(&load.ip).copied().unwrap_or(0)
-                    } else {
-                        0
-                    };
-                    let ctx = self.context_of(load, &control, pending);
+                    // With no gap the pipe stays empty, so this is 0.
+                    let ctx = self.context_of(load, &control, in_flight(&pipe, load.ip));
                     let actual = self.actual_of(load);
                     let pred = self.predictor.predict(&ctx);
                     if gap > 0 {
-                        *in_flight.entry(load.ip).or_insert(0) += 1;
                         pipe.push_back(Pending {
                             ctx,
                             pred,
@@ -402,7 +379,7 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
             }
         }
         while let Some(p) = pipe.pop_front() {
-            resolve(self.predictor, &mut stats, &mut in_flight, &self.obs, p);
+            resolve(self.predictor, &mut stats, &self.obs, p);
         }
         stats
     }

@@ -75,6 +75,11 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`, `sets - 1` and `log2(sets)`: the address split,
+    /// derived from `config` so that an access does no division.
+    line_shift: u32,
+    set_mask: usize,
+    tag_shift: u32,
     lines: Vec<Line>,
     tick: u64,
     hits: u64,
@@ -93,20 +98,34 @@ impl Cache {
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
+        let empty = Line {
+            tag: 0,
+            lru: 0,
+            valid: false,
+        };
+        Self::with_lines(config, vec![empty; config.sets() * config.assoc], 0, 0, 0)
+    }
+
+    /// Assembles a cache from its lines and counters; the address split
+    /// and the live-line count are derived.
+    fn with_lines(
+        config: CacheConfig,
+        lines: Vec<Line>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    ) -> Self {
+        let sets = config.sets();
         Self {
-            lines: vec![
-                Line {
-                    tag: 0,
-                    lru: 0,
-                    valid: false
-                };
-                config.sets() * config.assoc
-            ],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            tag_shift: sets.trailing_zeros(),
+            live: lines.iter().filter(|l| l.valid).count() as u64,
             config,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            live: 0,
+            lines,
+            tick,
+            hits,
+            misses,
         }
     }
 
@@ -119,9 +138,9 @@ impl Cache {
     /// Performs one access; returns `true` on hit. Misses allocate.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
-        let line_addr = addr / self.config.line_bytes as u64;
-        let set = (line_addr as usize) & (self.config.sets() - 1);
-        let tag = line_addr >> self.config.sets().trailing_zeros();
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr as usize) & self.set_mask;
+        let tag = line_addr >> self.tag_shift;
         let base = set * self.config.assoc;
         let ways = &mut self.lines[base..base + self.config.assoc];
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
@@ -260,15 +279,7 @@ impl Restorable for Cache {
                 valid: r.take_bool("cache line valid")?,
             });
         }
-        let live = lines.iter().filter(|l| l.valid).count() as u64;
-        Ok(Self {
-            config,
-            lines,
-            tick,
-            hits,
-            misses,
-            live,
-        })
+        Ok(Self::with_lines(config, lines, tick, hits, misses))
     }
 }
 

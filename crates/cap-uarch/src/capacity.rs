@@ -5,10 +5,31 @@
 //! dispatch width, functional units, cache ports, commit width. A
 //! [`SlotTracker`] answers "what is the first cycle at or after `t` with a
 //! free slot?" and books it.
+//!
+//! Bookings live in a dense window of per-cycle counts that starts at the
+//! retire frontier, so a probe is an index, not a hash lookup. The window
+//! spans the cycles from the frontier to the latest booking. In the core
+//! that is the distance from the dispatch cycle of the last prune point
+//! (every 8 192 instructions) to the latest commit. One instruction moves
+//! the latest commit by at most `frontend + redirect + agen + replay`
+//! plus its longest latency (memory, or a 20-cycle divide), 87 cycles at
+//! the paper's values, plus spills past full cycles. A window therefore
+//! stays below about `8192 + rob_entries` times that sum:
+//!
+//! * 0.72 M cycles (2.8 MiB of counts) at the paper's values;
+//! * 10.6 M cycles (41 MiB) with a 128-entry ROB and every latency at the
+//!   256-cycle restore ceiling ([`crate::hierarchy::LatencyConfig`]).
+//!
+//! A restore rejects any booking `2^24` or more cycles above the frontier
+//! before it allocates, so a restored window holds at most 64 MiB.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Books up to `width` events per cycle.
+///
+/// Memory is proportional to the span between the retire frontier and
+/// the latest booking (see the module docs), not to the number of
+/// bookings.
 ///
 /// # Examples
 ///
@@ -22,15 +43,17 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct SlotTracker {
     width: u32,
-    used: HashMap<u64, u32>,
+    /// Booking counts of cycles `frontier..frontier + used.len()`.
+    used: VecDeque<u32>,
     /// Cycles below this bound can no longer be requested (program order
-    /// guarantees monotone dispatch); used for pruning.
+    /// guarantees monotone dispatch); the window starts here.
     frontier: u64,
 }
 
 impl SlotTracker {
-    /// Prune when the map exceeds this many entries.
-    const PRUNE_THRESHOLD: usize = 1 << 16;
+    /// Restore ceiling: a booking must lie fewer than this many cycles
+    /// above the frontier.
+    const MAX_SPAN: u64 = 1 << 24;
 
     /// Creates a tracker with `width` slots per cycle.
     ///
@@ -42,7 +65,7 @@ impl SlotTracker {
         assert!(width > 0, "width must be positive");
         Self {
             width,
-            used: HashMap::new(),
+            used: VecDeque::new(),
             frontier: 0,
         }
     }
@@ -50,26 +73,31 @@ impl SlotTracker {
     /// Books one slot at the first cycle `>= at` with spare capacity and
     /// returns that cycle.
     pub fn alloc(&mut self, at: u64) -> u64 {
-        let mut cycle = at.max(self.frontier);
+        let mut i = (at.max(self.frontier) - self.frontier) as usize;
         loop {
-            let used = self.used.entry(cycle).or_insert(0);
-            if *used < self.width {
-                *used += 1;
-                return cycle;
+            match self.used.get_mut(i) {
+                Some(n) if *n >= self.width => i += 1,
+                Some(n) => {
+                    *n += 1;
+                    break;
+                }
+                None => {
+                    self.used.resize(i, 0);
+                    self.used.push_back(1);
+                    break;
+                }
             }
-            cycle += 1;
         }
+        self.frontier + i as u64
     }
 
     /// Declares that no future request will target a cycle below `bound`,
-    /// allowing stale bookings to be discarded.
+    /// discarding the bookings below it.
     pub fn retire_below(&mut self, bound: u64) {
         if bound > self.frontier {
+            let stale = (bound - self.frontier).min(self.used.len() as u64);
+            self.used.drain(..stale as usize);
             self.frontier = bound;
-            if self.used.len() > Self::PRUNE_THRESHOLD {
-                let frontier = self.frontier;
-                self.used.retain(|&c, _| c >= frontier);
-            }
         }
     }
 
@@ -86,13 +114,11 @@ impl Snapshot for SlotTracker {
     fn write_state(&self, w: &mut SectionWriter) {
         w.put_u32(self.width);
         w.put_u64(self.frontier);
-        // HashMap iteration order is unspecified: sort for a canonical
-        // encoding so identical states produce identical bytes.
-        let mut bookings: Vec<(u64, u32)> = self.used.iter().map(|(&c, &n)| (c, n)).collect();
-        bookings.sort_unstable();
-        w.put_len(bookings.len());
-        for (cycle, used) in bookings {
-            w.put_u64(cycle);
+        // Booked cycles only, in cycle order.
+        let booked = || self.used.iter().enumerate().filter(|&(_, &n)| n > 0);
+        w.put_len(booked().count());
+        for (i, &used) in booked() {
+            w.put_u64(self.frontier + i as u64);
             w.put_u32(used);
         }
     }
@@ -106,11 +132,31 @@ impl Restorable for SlotTracker {
         }
         let frontier = r.take_u64("slot tracker frontier")?;
         let len = r.take_len(12, "slot tracker booking count")?;
-        let mut used = HashMap::with_capacity(len);
+        let mut used = VecDeque::new();
         for _ in 0..len {
             let cycle = r.take_u64("slot tracker cycle")?;
             let count = r.take_u32("slot tracker booking")?;
-            used.insert(cycle, count);
+            if count > width {
+                return Err(r.bad_value(format!(
+                    "slot tracker books {count} at cycle {cycle}, above width {width}"
+                )));
+            }
+            // Below the frontier a booking can never be read again.
+            let Some(offset) = cycle.checked_sub(frontier) else {
+                continue;
+            };
+            if offset >= Self::MAX_SPAN {
+                return Err(r.bad_value(format!(
+                    "slot tracker booking at cycle {cycle} is {offset} cycles above \
+                     frontier {frontier} (limit {})",
+                    Self::MAX_SPAN
+                )));
+            }
+            let i = offset as usize;
+            if i >= used.len() {
+                used.resize(i + 1, 0);
+            }
+            used[i] = count;
         }
         Ok(Self {
             width,
@@ -149,11 +195,11 @@ mod tests {
     #[test]
     fn pruning_preserves_behaviour_above_frontier() {
         let mut t = SlotTracker::new(1);
-        for i in 0..(SlotTracker::PRUNE_THRESHOLD as u64 + 10) {
+        for i in 0..((1u64 << 16) + 10) {
             t.alloc(i);
         }
         t.alloc(2_000_000);
-        t.retire_below(1_000_000); // triggers pruning
+        t.retire_below(1_000_000);
         assert_eq!(t.alloc(2_000_000), 2_000_001, "booking above frontier kept");
     }
 

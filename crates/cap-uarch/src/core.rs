@@ -244,7 +244,6 @@ impl OooCore {
         gap: usize,
     ) -> CoreStats {
         let mut pending: VecDeque<PendingUpdate> = VecDeque::with_capacity(gap + 1);
-        let mut in_flight: HashMap<u64, u32> = HashMap::new();
 
         for (seq, event) in trace.iter().enumerate() {
             let seq = seq as u64;
@@ -258,12 +257,6 @@ impl OooCore {
                 {
                     p.update(&u.ctx, u.actual, &u.pred);
                     self.stats.pred.record_with(&u.pred, u.actual, &self.obs);
-                    if let Some(n) = in_flight.get_mut(&u.ctx.ip) {
-                        *n -= 1;
-                        if *n == 0 {
-                            in_flight.remove(&u.ctx.ip);
-                        }
-                    }
                 }
             }
             // Front end.
@@ -325,10 +318,12 @@ impl OooCore {
                                 offset: load.offset,
                                 ghr: self.control.ghr,
                                 path: self.control.path,
-                                pending: in_flight.get(&load.ip).copied().unwrap_or(0),
+                                // Unresolved instances of this load: the
+                                // gap queue holds at most `gap + 1` entries.
+                                pending: pending.iter().filter(|u| u.ctx.ip == load.ip).count()
+                                    as u32,
                             };
                             let pred = p.predict(&ctx);
-                            *in_flight.entry(load.ip).or_insert(0) += 1;
                             pending.push_back(PendingUpdate {
                                 ctx,
                                 pred,
@@ -490,6 +485,17 @@ impl Restorable for CoreConfig {
         if rob_entries == 0 || rob_entries > 1 << 24 {
             return Err(r.bad_value(format!(
                 "core rob entries {rob_entries} outside 1..=2^24"
+            )));
+        }
+        let worst = config
+            .frontend_latency
+            .max(config.redirect_penalty)
+            .max(config.agen_latency)
+            .max(config.replay_penalty);
+        if worst > LatencyConfig::MAX_CYCLES {
+            return Err(r.bad_value(format!(
+                "core latency {worst} above {} cycles",
+                LatencyConfig::MAX_CYCLES
             )));
         }
         Ok(config)

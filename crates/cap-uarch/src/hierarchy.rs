@@ -8,6 +8,12 @@ use cap_obs::Obs;
 ///
 /// `l1` is the load-to-use latency whose growth motivates the whole paper
 /// ("two to five cycles in next-generation processors").
+///
+/// A restore rejects any latency above 256 cycles, 3.2x the paper's
+/// largest (80). The same ceiling applies to the core's front-end,
+/// redirect, address-generation and replay latencies: together they
+/// bound how far one instruction can push the timing core's slot windows
+/// ([`crate::capacity`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// L1 hit latency (load-to-use).
@@ -19,6 +25,9 @@ pub struct LatencyConfig {
 }
 
 impl LatencyConfig {
+    /// Restore ceiling on every latency, in cycles.
+    pub(crate) const MAX_CYCLES: u32 = 256;
+
     /// Latencies representative of the paper's era: 3-cycle L1, 12-cycle
     /// L2, 80-cycle memory.
     #[must_use]
@@ -132,11 +141,19 @@ impl Snapshot for LatencyConfig {
 
 impl Restorable for LatencyConfig {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
+        let latency = Self {
             l1: r.take_u32("l1 latency")?,
             l2: r.take_u32("l2 latency")?,
             memory: r.take_u32("memory latency")?,
-        })
+        };
+        let worst = latency.l1.max(latency.l2).max(latency.memory);
+        if worst > Self::MAX_CYCLES {
+            return Err(r.bad_value(format!(
+                "hierarchy latency {worst} above {} cycles",
+                Self::MAX_CYCLES
+            )));
+        }
+        Ok(latency)
     }
 }
 

@@ -4,28 +4,66 @@
 use cap_rand::check;
 use cap_rand::rngs::StdRng;
 use cap_rand::{Rng, SeedableRng};
+use cap_snapshot::{Restorable, Snapshot};
 use cap_trace::builder::TraceBuilder;
 use cap_trace::record::OpLatency;
 use cap_uarch::capacity::SlotTracker;
 use cap_uarch::core::{run_trace, CoreConfig};
 use cap_uarch::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// SlotTracker never books more than `width` events into one cycle and
-/// never books before the requested cycle.
+/// Reference first-fit booking: every count ever booked, plus a floor
+/// below which no request lands.
+struct FirstFit {
+    width: u32,
+    used: BTreeMap<u64, u32>,
+    floor: u64,
+}
+
+impl FirstFit {
+    fn alloc(&mut self, at: u64) -> u64 {
+        let mut cycle = at.max(self.floor);
+        while self.used.get(&cycle).is_some_and(|&n| n >= self.width) {
+            cycle += 1;
+        }
+        *self.used.entry(cycle).or_insert(0) += 1;
+        cycle
+    }
+}
+
+/// SlotTracker books exactly where the reference first-fit model does,
+/// under random interleavings of requests and monotone retirements and
+/// across a snapshot round-trip at a random step; so it never books more
+/// than `width` events into one cycle nor before the requested cycle.
 #[test]
 fn slot_tracker_respects_width() {
     check::run("slot_tracker_respects_width", |rng| {
         let width = rng.gen_range(1u32..8);
-        let requests = check::vec_of(rng, 1..200, |r| r.gen_range(0u64..64));
+        let steps = rng.gen_range(1usize..300);
+        let restore_at = rng.gen_range(0..steps);
         let mut t = SlotTracker::new(width);
-        let mut booked: HashMap<u64, u32> = HashMap::new();
-        for at in requests {
-            let got = t.alloc(at);
-            assert!(got >= at);
-            let c = booked.entry(got).or_insert(0);
-            *c += 1;
-            assert!(*c <= width);
+        let mut model = FirstFit {
+            width,
+            used: BTreeMap::new(),
+            floor: 0,
+        };
+        for step in 0..steps {
+            if step == restore_at {
+                t = SlotTracker::from_payload(&t.to_payload(), "slots")
+                    .expect("own payload restores");
+            }
+            if rng.gen_range(0..8) == 0 {
+                // Sometimes past every booking, emptying the window.
+                let bound = model.floor + rng.gen_range(0u64..48);
+                t.retire_below(bound);
+                model.floor = bound;
+            } else {
+                let at = rng.gen_range(model.floor.saturating_sub(8)..model.floor + 64);
+                let got = t.alloc(at);
+                assert_eq!(got, model.alloc(at), "alloc({at}) at step {step}");
+                assert!(got >= at);
+                assert!(model.used[&got] <= width);
+            }
         }
     });
 }

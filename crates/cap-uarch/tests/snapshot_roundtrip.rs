@@ -6,9 +6,13 @@
 //! must reproduce the original bytes.
 
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
-use cap_snapshot::{Restorable, Snapshot, SnapshotArchive, SnapshotBuilder};
-use cap_uarch::core::{CoreConfig, CoreStats, OooCore};
+use cap_snapshot::{
+    Restorable, SectionWriter, Snapshot, SnapshotArchive, SnapshotBuilder, SnapshotError,
+};
 use cap_trace::Trace;
+use cap_uarch::capacity::SlotTracker;
+use cap_uarch::core::{CoreConfig, CoreStats, OooCore};
+use cap_uarch::hierarchy::LatencyConfig;
 
 fn traces() -> (Trace, Trace) {
     let catalog = cap_trace::suites::catalog();
@@ -77,4 +81,78 @@ fn hostile_core_payload_never_panics() {
         let err = OooCore::from_payload(&payload[..cut], "core");
         assert!(err.is_err(), "truncated payload at {cut} must not decode");
     }
+}
+
+/// A slot-tracker payload: width, frontier, then `(cycle, count)`
+/// bookings.
+fn slot_payload(width: u32, frontier: u64, bookings: &[(u64, u32)]) -> Vec<u8> {
+    let mut w = SectionWriter::new();
+    w.put_u32(width);
+    w.put_u64(frontier);
+    w.put_len(bookings.len());
+    for &(cycle, count) in bookings {
+        w.put_u64(cycle);
+        w.put_u32(count);
+    }
+    w.into_bytes()
+}
+
+fn assert_bad_value<T: std::fmt::Debug>(decoded: Result<T, SnapshotError>, case: &str) {
+    match decoded {
+        Err(SnapshotError::BadValue { .. }) => {}
+        other => panic!("{case}: expected BadValue, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_slot_bookings_are_rejected_before_allocating() {
+    let far = slot_payload(4, 100, &[(100 + (1 << 40), 1)]);
+    assert_bad_value(
+        SlotTracker::from_payload(&far, "slots"),
+        "booking 2^40 above frontier",
+    );
+    let over = slot_payload(4, 100, &[(120, 5)]);
+    assert_bad_value(
+        SlotTracker::from_payload(&over, "slots"),
+        "count of width + 1",
+    );
+
+    // A booking below the frontier can never be read again: it is
+    // dropped on restore and not written back.
+    let stale = slot_payload(2, 100, &[(50, 2), (120, 2)]);
+    let mut t = SlotTracker::from_payload(&stale, "slots").expect("stale booking restores");
+    assert_eq!(t.to_payload(), slot_payload(2, 100, &[(120, 2)]));
+    assert_eq!(t.alloc(120), 121, "restored booking still fills its cycle");
+    assert_eq!(t.alloc(0), 100, "frontier still floors requests");
+
+    // A window at the very top of the cycle range re-encodes unchanged.
+    let top = slot_payload(2, u64::MAX, &[(u64::MAX, 1)]);
+    let t = SlotTracker::from_payload(&top, "slots").expect("top-of-range window restores");
+    assert_eq!(t.to_payload(), top);
+}
+
+#[test]
+fn hostile_latencies_are_rejected() {
+    let memory = LatencyConfig {
+        memory: u32::MAX,
+        ..LatencyConfig::paper_default()
+    };
+    assert_bad_value(
+        LatencyConfig::from_payload(&memory.to_payload(), "latency"),
+        "memory latency u32::MAX",
+    );
+    let mut config = CoreConfig::paper_default();
+    config.latency = memory;
+    let core = OooCore::new(config).to_payload();
+    assert_bad_value(
+        OooCore::from_payload(&core, "core"),
+        "core with memory latency u32::MAX",
+    );
+    let mut config = CoreConfig::paper_default();
+    config.frontend_latency = u32::MAX;
+    let core = OooCore::new(config).to_payload();
+    assert_bad_value(
+        OooCore::from_payload(&core, "core"),
+        "core with frontend latency u32::MAX",
+    );
 }
