@@ -285,14 +285,15 @@ fn a_lying_node_cannot_break_the_shipping_path() {
 /// archive, delivers half, hangs up. Everything else gets a structured
 /// protocol refusal.
 fn spawn_hostile_pull_peer() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-    use cap_service::wire::{read_frame, write_frame, WireRequest, WireResponse};
+    use cap_service::wire::{write_frame, FrameReader, WireRequest, WireResponse, MAX_FRAME_LEN};
     use std::io::Write;
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind hostile peer");
     let addr = listener.local_addr().expect("hostile addr");
     let join = std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
-            while let Ok(Some(payload)) = read_frame(&mut stream) {
+            let mut requests = FrameReader::new(MAX_FRAME_LEN);
+            while let Ok(Some(payload)) = requests.read_from(&mut stream) {
                 match WireRequest::decode(&payload) {
                     Ok(WireRequest::Fence { .. }) => {
                         if write_frame(&mut stream, &WireResponse::FenceAck.encode()).is_err() {

@@ -70,8 +70,9 @@ use cap_harness::supervisor::{
     SupervisorError,
 };
 use cap_predictor::drive::ControlState;
+use cap_service::net::serve_frames;
 use cap_service::prelude::*;
-use cap_service::wire::{read_frame, write_frame_with_cap, MAX_REPLY_FRAME_LEN};
+use cap_service::wire::MAX_FRAME_LEN;
 use cap_trace::io::{read_trace, write_trace};
 use cap_trace::suites::catalog;
 use cap_trace::TraceEvent;
@@ -715,80 +716,47 @@ fn router_stats_json(router: &Router) -> String {
         .pretty()
 }
 
-/// One front-door connection: the same framing loop as a node's
-/// `serve_connection`, but requests terminate in the router — `Serve`
-/// forwards by hash ring, `Stats` reports the accounting ledger,
-/// `ObsStats` returns the merged fleet view, and `SnapshotPull` is
-/// refused (the router holds no predictor state).
-fn route_connection(
-    stream: std::net::TcpStream,
+/// The front door's answer to one request: `Serve` forwards by hash
+/// ring, `Stats` reports the accounting ledger, `ObsStats` returns the
+/// merged fleet view, and `SnapshotPull` is refused (the router holds
+/// no predictor state).
+fn route_request(
+    request: WireRequest,
     router: &Router,
     registry: &cap_obs::Registry,
     stop: &AtomicBool,
-) {
-    let mut stream = stream;
-    let _ = stream.set_nodelay(true);
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .is_err()
-    {
-        return;
-    }
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        };
-        let response = match WireRequest::decode(&payload) {
-            // Any client-stamped epoch is ignored: the router stamps
-            // its own current epoch on the node-facing hop.
-            Ok(WireRequest::Serve { request, budget, epoch: _ }) => match router.call(request, budget)
-            {
-                Ok(resp) => WireResponse::Response(resp),
-                Err(e) => WireResponse::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
+) -> WireResponse {
+    match request {
+        // Any client-stamped epoch is ignored: the router stamps its
+        // own current epoch on the node-facing hop.
+        WireRequest::Serve {
+            request,
+            budget,
+            epoch: _,
+        } => match router.call(request, budget) {
+            Ok(resp) => WireResponse::Response(resp),
+            Err(e) => WireResponse::Error {
+                code: e.code(),
+                message: e.to_string(),
             },
-            Ok(WireRequest::Stats) => WireResponse::Stats(router_stats_json(router)),
-            Ok(WireRequest::ObsStats) => {
-                let (mut merged, _) = router.fleet_obs();
-                merged.merge(&registry.snapshot());
-                WireResponse::ObsStats(merged.encode())
-            }
-            Ok(WireRequest::SnapshotPull) => WireResponse::from_error(&ServiceError::Protocol(
-                "the router holds no predictor state; pull snapshots from a node".into(),
-            )),
-            Ok(
-                WireRequest::Fence { .. }
-                | WireRequest::ReplicaPush { .. }
-                | WireRequest::ReplicaFetch { .. },
-            ) => WireResponse::from_error(&ServiceError::Protocol(
-                "fence and replica frames are node-facing; the router front door refuses them"
-                    .into(),
-            )),
-            Ok(WireRequest::Shutdown { .. }) => {
-                stop.store(true, Ordering::Release);
-                WireResponse::ShutdownAck
-            }
-            Err(err) => WireResponse::from_error(&err),
-        };
-        let is_ack = matches!(response, WireResponse::ShutdownAck);
-        if write_frame_with_cap(&mut stream, &response.encode(), MAX_REPLY_FRAME_LEN).is_err() {
-            return;
+        },
+        WireRequest::Stats => WireResponse::Stats(router_stats_json(router)),
+        WireRequest::ObsStats => {
+            let (mut merged, _) = router.fleet_obs();
+            merged.merge(&registry.snapshot());
+            WireResponse::ObsStats(merged.encode())
         }
-        if is_ack {
-            return;
+        WireRequest::SnapshotPull => WireResponse::from_error(&ServiceError::Protocol(
+            "the router holds no predictor state; pull snapshots from a node".into(),
+        )),
+        WireRequest::Fence { .. }
+        | WireRequest::ReplicaPush { .. }
+        | WireRequest::ReplicaFetch { .. } => WireResponse::from_error(&ServiceError::Protocol(
+            "fence and replica frames are node-facing; the router front door refuses them".into(),
+        )),
+        WireRequest::Shutdown { .. } => {
+            stop.store(true, Ordering::Release);
+            WireResponse::ShutdownAck
         }
     }
 }
@@ -1075,14 +1043,17 @@ fn cmd_route(mut args: Vec<String>) {
     while !stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 let router = Arc::clone(&router);
                 let registry = Arc::clone(&registry);
                 let stop = Arc::clone(&stop);
                 conns.push(
                     std::thread::Builder::new()
                         .name("cap-route-conn".into())
-                        .spawn(move || route_connection(stream, &router, &registry, &stop))
+                        .spawn(move || {
+                            serve_frames(stream, MAX_FRAME_LEN, &stop, |request| {
+                                route_request(request, &router, &registry, &stop)
+                            });
+                        })
                         .expect("spawn connection thread"),
                 );
             }

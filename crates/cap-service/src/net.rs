@@ -14,8 +14,8 @@
 use crate::error::ServiceError;
 use crate::service::{ServiceHandle, ServiceStats};
 use crate::wire::{
-    read_frame_with_cap, write_frame_with_cap, FrameReader, WireRequest, WireResponse,
-    MAX_FRAME_LEN, MAX_REPLY_FRAME_LEN,
+    write_frame_with_cap, FrameReader, WireRequest, WireResponse, MAX_FRAME_LEN,
+    MAX_REPLY_FRAME_LEN,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -144,20 +144,18 @@ impl TcpServer {
                     let fence = Arc::clone(&self.fence);
                     let replicas = Arc::clone(&self.replicas);
                     conns.push(std::thread::spawn(move || {
-                        let shared = ConnShared {
-                            request_cap,
-                            fence,
-                            replicas,
-                        };
-                        serve_connection(
-                            stream,
-                            &handle,
-                            &render,
-                            obs_export.as_ref(),
-                            &shared,
-                            &stop,
-                            &drain,
-                        );
+                        let shared = ConnShared { fence, replicas };
+                        serve_frames(stream, request_cap, &stop, |request| {
+                            serve_request(
+                                request,
+                                &handle,
+                                &render,
+                                obs_export.as_ref(),
+                                &shared,
+                                &stop,
+                                &drain,
+                            )
+                        });
                     }));
                     // Reap finished connection threads so a long-lived
                     // server does not accumulate handles.
@@ -180,7 +178,6 @@ impl TcpServer {
 
 /// Per-server state shared by every connection thread.
 struct ConnShared {
-    request_cap: usize,
     fence: Arc<AtomicU64>,
     replicas: ReplicaStore,
 }
@@ -216,27 +213,35 @@ impl ConnShared {
     }
 }
 
-fn serve_connection(
-    stream: TcpStream,
-    handle: &ServiceHandle,
-    render_stats: &StatsRenderer,
-    obs_export: Option<&ObsExporter>,
-    shared: &ConnShared,
+/// Serves one connection's frames until the peer hangs up, the stream
+/// breaks, `stop` is raised, or a [`WireResponse::ShutdownAck`] has
+/// been sent. Every TCP front door (a node's [`TcpServer`] and the
+/// cluster router's) runs this loop; `answer` turns each decoded
+/// request into its reply, and a payload that does not decode is
+/// answered with its structured protocol error.
+///
+/// Requests are read under `request_cap`, replies written under
+/// [`MAX_REPLY_FRAME_LEN`] (a snapshot archive outgrows the request
+/// cap at real table sizes).
+pub fn serve_frames(
+    mut stream: TcpStream,
+    request_cap: usize,
     stop: &AtomicBool,
-    drain: &Mutex<Duration>,
+    mut answer: impl FnMut(WireRequest) -> WireResponse,
 ) {
-    let mut stream = stream;
     // Request/response framing with small frames: Nagle + delayed ACK
     // would add ~40ms to every roundtrip.
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+    if stream.set_nonblocking(false).is_err()
+        || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
+    {
         return;
     }
     // The resumable reader keeps partial progress across the read
     // timeout used to poll the stop flag, so a frame trickling in
     // slower than one poll interval (a slow or slow-loris peer) still
     // assembles instead of desyncing the stream.
-    let mut reader = FrameReader::new(shared.request_cap);
+    let mut reader = FrameReader::new(request_cap);
     loop {
         if stop.load(Ordering::Acquire) {
             return;
@@ -245,71 +250,82 @@ fn serve_connection(
             Ok(Some(p)) => p,
             Ok(None) => return, // clean disconnect
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 continue
             }
             Err(_) => return, // torn frame or dead socket
         };
         let response = match WireRequest::decode(&payload) {
-            Ok(WireRequest::Serve {
-                request,
-                budget,
-                epoch,
-            }) => match shared
-                .check_fence(epoch)
-                .and_then(|()| handle.call(request, budget))
-            {
-                Ok(resp) => WireResponse::Response(resp),
-                Err(err) => WireResponse::from_error(&err),
-            },
-            Ok(WireRequest::Stats) => match handle.stats() {
-                Ok(stats) => WireResponse::Stats(render_stats(&stats)),
-                Err(err) => WireResponse::from_error(&err),
-            },
-            Ok(WireRequest::ObsStats) => WireResponse::ObsStats(match obs_export {
-                Some(export) => export(),
-                None => cap_obs::StatsSnapshot::default().encode(),
-            }),
-            Ok(WireRequest::SnapshotPull) => match handle.snapshot_live() {
-                Ok(archive) => WireResponse::Snapshot(archive),
-                Err(err) => WireResponse::from_error(&err),
-            },
-            Ok(WireRequest::Fence { epoch }) => {
-                shared.fence.store(epoch + 1, Ordering::Release);
-                WireResponse::FenceAck
-            }
-            Ok(WireRequest::ReplicaPush {
-                shard,
-                generation,
-                bytes,
-            }) => WireResponse::ReplicaAck {
-                stored: shared.store_replica(shard, generation, bytes),
-            },
-            Ok(WireRequest::ReplicaFetch { shard }) => WireResponse::Replica(
-                shared
-                    .replicas
-                    .lock()
-                    .expect("replica store lock")
-                    .get(&shard)
-                    .cloned(),
-            ),
-            Ok(WireRequest::Shutdown { drain: budget }) => {
-                *drain.lock().expect("drain lock") = budget;
-                stop.store(true, Ordering::Release);
-                WireResponse::ShutdownAck
-            }
+            Ok(request) => answer(request),
             Err(err) => WireResponse::from_error(&err),
         };
         let is_ack = matches!(response, WireResponse::ShutdownAck);
-        // Replies get the wide cap: a snapshot archive outgrows the
-        // request cap at real table sizes. Requests stay tightly capped.
-        if write_frame_with_cap(&mut stream, &response.encode(), MAX_REPLY_FRAME_LEN).is_err() {
+        if write_frame_with_cap(&mut stream, &response.encode(), MAX_REPLY_FRAME_LEN).is_err()
+            || is_ack
+        {
             return;
         }
-        if is_ack {
-            return;
+    }
+}
+
+/// A node's answer to one request.
+fn serve_request(
+    request: WireRequest,
+    handle: &ServiceHandle,
+    render_stats: &StatsRenderer,
+    obs_export: Option<&ObsExporter>,
+    shared: &ConnShared,
+    stop: &AtomicBool,
+    drain: &Mutex<Duration>,
+) -> WireResponse {
+    match request {
+        WireRequest::Serve {
+            request,
+            budget,
+            epoch,
+        } => match shared
+            .check_fence(epoch)
+            .and_then(|()| handle.call(request, budget))
+        {
+            Ok(resp) => WireResponse::Response(resp),
+            Err(err) => WireResponse::from_error(&err),
+        },
+        WireRequest::Stats => match handle.stats() {
+            Ok(stats) => WireResponse::Stats(render_stats(&stats)),
+            Err(err) => WireResponse::from_error(&err),
+        },
+        WireRequest::ObsStats => WireResponse::ObsStats(match obs_export {
+            Some(export) => export(),
+            None => cap_obs::StatsSnapshot::default().encode(),
+        }),
+        WireRequest::SnapshotPull => match handle.snapshot_live() {
+            Ok(archive) => WireResponse::Snapshot(archive),
+            Err(err) => WireResponse::from_error(&err),
+        },
+        WireRequest::Fence { epoch } => {
+            shared.fence.store(epoch + 1, Ordering::Release);
+            WireResponse::FenceAck
+        }
+        WireRequest::ReplicaPush {
+            shard,
+            generation,
+            bytes,
+        } => WireResponse::ReplicaAck {
+            stored: shared.store_replica(shard, generation, bytes),
+        },
+        WireRequest::ReplicaFetch { shard } => WireResponse::Replica(
+            shared
+                .replicas
+                .lock()
+                .expect("replica store lock")
+                .get(&shard)
+                .cloned(),
+        ),
+        WireRequest::Shutdown { drain: budget } => {
+            *drain.lock().expect("drain lock") = budget;
+            stop.store(true, Ordering::Release);
+            WireResponse::ShutdownAck
         }
     }
 }
@@ -318,6 +334,10 @@ fn serve_connection(
 #[derive(Debug)]
 pub struct TcpClient {
     stream: TcpStream,
+    // Replies are read under the wide cap: snapshot-pull answers carry
+    // whole archives. We chose this server; the asymmetric trust is
+    // deliberate.
+    reader: FrameReader,
     read_timeout: Option<Duration>,
 }
 
@@ -332,6 +352,7 @@ impl TcpClient {
         stream.set_nodelay(true)?;
         Ok(Self {
             stream,
+            reader: FrameReader::new(MAX_REPLY_FRAME_LEN),
             read_timeout: None,
         })
     }
@@ -358,13 +379,10 @@ impl TcpClient {
         let write_cap = if matches!(request, WireRequest::ReplicaPush { .. }) {
             MAX_REPLY_FRAME_LEN
         } else {
-            crate::wire::MAX_FRAME_LEN
+            MAX_FRAME_LEN
         };
         write_frame_with_cap(&mut self.stream, &request.encode(), write_cap).map_err(io_err)?;
-        // Replies are read under the wide cap: snapshot-pull answers
-        // carry whole archives. We chose this server; the asymmetric
-        // trust is deliberate.
-        let reply = read_frame_with_cap(&mut self.stream, MAX_REPLY_FRAME_LEN).map_err(|e| {
+        let reply = self.reader.read_from(&mut self.stream).map_err(|e| {
             if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut {
                 ServiceError::ReplyTimeout {
                     waited: self.read_timeout.unwrap_or(Duration::ZERO),

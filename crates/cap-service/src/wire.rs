@@ -8,6 +8,13 @@
 //! [`MAX_FRAME_LEN`]; a peer announcing a larger payload is cut off
 //! before any allocation happens.
 //!
+//! A frame leaves in one write ([`write_frame_with_cap`]): every socket
+//! here sets `TCP_NODELAY`, under which each write is its own TCP
+//! segment, so a prefix written apart from its payload would double
+//! the segments of every message. Frames are read only through the
+//! resumable [`FrameReader`], and the node and the router front door
+//! share one per-connection frame loop, [`crate::net::serve_frames`].
+//!
 //! Every payload opens with a protocol **version byte**
 //! ([`WIRE_VERSION`]); a peer speaking a different protocol revision is
 //! refused with a structured error naming both versions instead of
@@ -33,7 +40,7 @@ use crate::error::ServiceError;
 use crate::ladder::Rung;
 use crate::service::{Request, Response};
 use cap_snapshot::{SectionReader, SectionWriter};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::time::Duration;
 
 /// Protocol revision spoken by this build. Bump on any frame-layout
@@ -511,74 +518,44 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// snapshot-pull use [`MAX_REPLY_FRAME_LEN`] here; everything else
 /// stays under the request cap.
 ///
+/// Prefix and payload leave in one vectored write, so a small frame on
+/// a `TCP_NODELAY` socket is one segment rather than two. The payload
+/// is never copied (a snapshot reply can be [`MAX_REPLY_FRAME_LEN`]).
+///
 /// # Errors
 ///
-/// Propagates I/O errors; refuses payloads over `cap`.
+/// Propagates I/O errors; refuses payloads over `cap`; a writer that
+/// accepts no bytes ends in `WriteZero`.
 pub fn write_frame_with_cap(w: &mut impl Write, payload: &[u8], cap: usize) -> std::io::Result<()> {
-    if payload.len() > cap {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame payload {} exceeds cap {cap}", payload.len()),
-        ));
+    let prefix = match u32::try_from(payload.len()) {
+        Ok(len) if payload.len() <= cap => len.to_le_bytes(),
+        _ => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("frame payload {} exceeds cap {cap}", payload.len()),
+            ))
+        }
+    };
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match w.write_vectored(unsent) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
     w.flush()
 }
 
-/// Reads one frame from `r`. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary (the peer hung up between messages).
+/// A resumable frame reader, the only way frames are read.
 ///
-/// # Errors
-///
-/// Propagates I/O errors; refuses announced lengths over
-/// [`MAX_FRAME_LEN`] before allocating.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    read_frame_with_cap(r, MAX_FRAME_LEN)
-}
-
-/// [`read_frame`] with an explicit cap on the announced length.
-/// Clients reading replies (which may carry a whole snapshot archive)
-/// pass [`MAX_REPLY_FRAME_LEN`]; servers reading requests keep the
-/// tight [`MAX_FRAME_LEN`] bound against hostile peers.
-///
-/// # Errors
-///
-/// Propagates I/O errors; refuses announced lengths over `cap` before
-/// allocating.
-pub fn read_frame_with_cap(r: &mut impl Read, cap: usize) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        let n = r.read(&mut len_bytes[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None); // clean EOF between frames
-            }
-            return Err(std::io::ErrorKind::UnexpectedEof.into());
-        }
-        filled += n;
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > cap {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("peer announced frame of {len} bytes, cap {cap}"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
-/// A resumable frame reader for sockets with a read timeout.
-///
-/// [`read_frame`] loses any partial progress when the underlying read
-/// times out mid-frame, which desyncs the stream against a slow (or
-/// deliberately slow-loris) peer. `FrameReader` keeps the partially
-/// filled length prefix and payload across `WouldBlock`/`TimedOut`
-/// errors, so a server polling its shutdown flag on a 50ms timeout can
-/// resume a frame that trickles in over many poll intervals.
+/// It keeps the partially filled length prefix and payload across
+/// `WouldBlock`/`TimedOut` errors, so a server polling its shutdown
+/// flag on a 50ms read timeout resumes a frame that trickles in over
+/// many poll intervals instead of desyncing the stream against a slow
+/// (or deliberately slow-loris) peer.
 #[derive(Debug)]
 pub struct FrameReader {
     cap: usize,
@@ -616,12 +593,15 @@ impl FrameReader {
     /// # Errors
     ///
     /// `WouldBlock`/`TimedOut` errors are safe to retry — partial
-    /// progress is kept. Any other error (including `UnexpectedEof`
-    /// mid-frame and an announced length over the cap) is fatal to the
-    /// stream.
+    /// progress is kept. `Interrupted` reads are retried here. Any other
+    /// error (including `UnexpectedEof` mid-frame and an announced
+    /// length over the cap) is fatal to the stream.
     pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
         while self.len_filled < 4 {
-            let n = r.read(&mut self.len_bytes[self.len_filled..])?;
+            let n = match r.read(&mut self.len_bytes[self.len_filled..]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => read?,
+            };
             if n == 0 {
                 if self.len_filled == 0 {
                     return Ok(None); // clean EOF between frames
@@ -642,7 +622,10 @@ impl FrameReader {
             }
         }
         while self.payload_filled < self.payload.len() {
-            let n = r.read(&mut self.payload[self.payload_filled..])?;
+            let n = match r.read(&mut self.payload[self.payload_filled..]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => read?,
+            };
             if n == 0 {
                 return Err(std::io::ErrorKind::UnexpectedEof.into());
             }
@@ -825,7 +808,8 @@ mod tests {
         write_frame_with_cap(&mut buf, &big, MAX_REPLY_FRAME_LEN).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
         assert_eq!(
-            read_frame_with_cap(&mut cursor, MAX_REPLY_FRAME_LEN)
+            FrameReader::new(MAX_REPLY_FRAME_LEN)
+                .read_from(&mut cursor)
                 .unwrap()
                 .unwrap()
                 .len(),
@@ -836,7 +820,8 @@ mod tests {
         let mut evil =
             std::io::Cursor::new(((MAX_REPLY_FRAME_LEN + 1) as u32).to_le_bytes().to_vec());
         assert_eq!(
-            read_frame_with_cap(&mut evil, MAX_REPLY_FRAME_LEN)
+            FrameReader::new(MAX_REPLY_FRAME_LEN)
+                .read_from(&mut evil)
                 .unwrap_err()
                 .kind(),
             std::io::ErrorKind::InvalidData
@@ -849,39 +834,147 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+        let mut reader = FrameReader::new(MAX_FRAME_LEN);
+        assert_eq!(reader.read_from(&mut cursor).unwrap().unwrap(), b"hello");
+        assert_eq!(reader.read_from(&mut cursor).unwrap().unwrap(), b"");
+        assert!(
+            reader.read_from(&mut cursor).unwrap().is_none(),
+            "clean EOF"
+        );
 
         // An announced length over the cap is refused without allocating.
         let mut evil = std::io::Cursor::new(((MAX_FRAME_LEN + 1) as u32).to_le_bytes().to_vec());
         assert_eq!(
-            read_frame(&mut evil).unwrap_err().kind(),
+            FrameReader::new(MAX_FRAME_LEN)
+                .read_from(&mut evil)
+                .unwrap_err()
+                .kind(),
             std::io::ErrorKind::InvalidData
         );
 
         // A torn length prefix is an UnexpectedEof, not a hang or panic.
         let mut torn = std::io::Cursor::new(vec![1u8, 0]);
         assert_eq!(
-            read_frame(&mut torn).unwrap_err().kind(),
+            FrameReader::new(MAX_FRAME_LEN)
+                .read_from(&mut torn)
+                .unwrap_err()
+                .kind(),
             std::io::ErrorKind::UnexpectedEof
         );
     }
 
-    /// A reader that yields `chunk` bytes then a WouldBlock, repeating —
-    /// models a socket read timeout splitting a frame.
+    /// A writer that records each call it receives and, like a socket's
+    /// `writev`, takes up to `per_call` bytes across all the slices it is
+    /// handed. With `interrupt` set, its first call fails `Interrupted`.
+    struct Recorder {
+        calls: Vec<Vec<u8>>,
+        per_call: usize,
+        interrupt: bool,
+    }
+
+    impl Recorder {
+        fn new(per_call: usize) -> Self {
+            Self {
+                calls: Vec::new(),
+                per_call,
+                interrupt: false,
+            }
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            self.calls.concat()
+        }
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if std::mem::take(&mut self.interrupt) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut took = Vec::new();
+            for buf in bufs {
+                let n = buf.len().min(self.per_call - took.len());
+                took.extend_from_slice(&buf[..n]);
+            }
+            let n = took.len();
+            self.calls.push(took);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_small_frame_leaves_in_one_write() {
+        let mut w = Recorder::new(usize::MAX);
+        write_frame(&mut w, b"observe").unwrap();
+        let mut expected = 7u32.to_le_bytes().to_vec();
+        expected.extend_from_slice(b"observe");
+        assert_eq!(
+            w.calls,
+            vec![expected],
+            "one call carrying prefix ‖ payload"
+        );
+    }
+
+    #[test]
+    fn short_writes_resume_across_the_prefix_payload_boundary() {
+        // Three bytes per call splits the prefix, then straddles it and
+        // the payload, then walks a reply-sized payload to its end.
+        let payload: Vec<u8> = (0..MAX_FRAME_LEN + 4099).map(|i| (i % 251) as u8).collect();
+        let mut w = Recorder::new(3);
+        write_frame_with_cap(&mut w, &payload, MAX_REPLY_FRAME_LEN).unwrap();
+        assert_eq!(w.calls[..2], [vec![0x03, 0x10, 0x10], vec![0x00, 0, 1]]);
+        let mut cursor = std::io::Cursor::new(w.bytes());
+        let read = FrameReader::new(MAX_REPLY_FRAME_LEN)
+            .read_from(&mut cursor)
+            .unwrap()
+            .unwrap();
+        assert!(read == payload, "payload arrives byte-exact");
+    }
+
+    #[test]
+    fn an_interrupted_write_is_retried() {
+        let mut w = Recorder::new(usize::MAX);
+        w.interrupt = true;
+        write_frame(&mut w, b"again").unwrap();
+        let mut expected = 5u32.to_le_bytes().to_vec();
+        expected.extend_from_slice(b"again");
+        assert_eq!(w.bytes(), expected);
+    }
+
+    #[test]
+    fn a_writer_taking_nothing_ends_in_write_zero() {
+        let mut w = Recorder::new(0);
+        assert_eq!(
+            write_frame(&mut w, b"stuck").unwrap_err().kind(),
+            std::io::ErrorKind::WriteZero
+        );
+        assert_eq!(w.calls.len(), 1, "no retry spin on Ok(0)");
+    }
+
+    /// A reader that yields `chunk` bytes then a `stall` error,
+    /// repeating — with `WouldBlock`, a socket read timeout splitting a
+    /// frame.
     struct Trickle {
         data: Vec<u8>,
         pos: usize,
         chunk: usize,
         ready: bool,
+        stall: std::io::ErrorKind,
     }
 
     impl Read for Trickle {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             if !self.ready {
                 self.ready = true;
-                return Err(std::io::ErrorKind::WouldBlock.into());
+                return Err(self.stall.into());
             }
             self.ready = false;
             let n = self.chunk.min(buf.len()).min(self.data.len() - self.pos);
@@ -892,10 +985,25 @@ mod tests {
     }
 
     #[test]
+    fn frame_reader_retries_interrupted_reads() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"signal").unwrap();
+        let mut src = Trickle {
+            data: wire,
+            pos: 0,
+            chunk: 2,
+            ready: false,
+            stall: std::io::ErrorKind::Interrupted,
+        };
+        let frame = FrameReader::new(MAX_FRAME_LEN).read_from(&mut src).unwrap();
+        assert_eq!(frame.as_deref(), Some(&b"signal"[..]));
+    }
+
+    #[test]
     fn frame_reader_survives_timeouts_mid_frame() {
         // A frame trickling in one byte per read timeout must still
-        // assemble — `read_frame` would desync here, losing its
-        // partial progress on the WouldBlock.
+        // assemble, keeping its partial progress across each
+        // WouldBlock.
         let mut wire = Vec::new();
         write_frame(&mut wire, b"slow-loris").unwrap();
         write_frame(&mut wire, b"second").unwrap();
@@ -904,6 +1012,7 @@ mod tests {
             pos: 0,
             chunk: 1,
             ready: false,
+            stall: std::io::ErrorKind::WouldBlock,
         };
         let mut reader = FrameReader::new(MAX_FRAME_LEN);
         let mut frames = Vec::new();

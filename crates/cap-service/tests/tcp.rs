@@ -2,7 +2,9 @@
 //! service, exercised by real clients — including a hostile one.
 
 use cap_service::prelude::*;
-use cap_service::wire::{write_frame, MAX_FRAME_LEN, WIRE_VERSION};
+use cap_service::wire::{
+    write_frame, FrameReader, MAX_FRAME_LEN, MAX_REPLY_FRAME_LEN, WIRE_VERSION,
+};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -221,8 +223,10 @@ fn hostile_peers_get_structured_errors_not_crashes() {
     // Unknown opcode (behind a valid version byte): a structured
     // protocol error comes back and the connection stays usable.
     let mut stream = TcpStream::connect(addr).expect("connect raw");
+    let mut replies = FrameReader::new(MAX_REPLY_FRAME_LEN);
     write_frame(&mut stream, &[WIRE_VERSION, 0xEE, 1, 2, 3]).expect("send junk opcode");
-    let payload = cap_service::wire::read_frame(&mut stream)
+    let payload = replies
+        .read_from(&mut stream)
         .expect("read")
         .expect("a reply, not a hangup");
     match WireResponse::decode(&payload).expect("decodable error") {
@@ -235,7 +239,8 @@ fn hostile_peers_get_structured_errors_not_crashes() {
 
     // Wrong protocol version: refused by name, same connection usable.
     write_frame(&mut stream, &[WIRE_VERSION + 1, 2, 0, 0, 0, 0]).expect("send wrong version");
-    let payload = cap_service::wire::read_frame(&mut stream)
+    let payload = replies
+        .read_from(&mut stream)
         .expect("read")
         .expect("a reply, not a hangup");
     match WireResponse::decode(&payload).expect("decodable error") {
