@@ -147,7 +147,7 @@ impl ClusterError {
         )
     }
 
-    /// True when the node answered a structured shed (its ingress queue
+    /// True when the node answered a structured shed (a shard's queue
     /// was full) — the `shed` accounting bucket.
     #[must_use]
     pub fn is_shed(&self) -> bool {

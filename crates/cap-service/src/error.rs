@@ -17,43 +17,37 @@ use std::time::Duration;
 /// small or the service too slow", shutdown errors say "stop sending".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// Admission control rejected the request: the worker's ingress
-    /// queue was full. This is the explicit backpressure signal — the
-    /// caller should slow down or retry later.
+    /// Admission control rejected the request: `capacity` callers were
+    /// already waiting for its shard. This is the explicit backpressure
+    /// signal — the caller should slow down or retry later.
     Shed {
         /// Queue capacity that was exhausted.
         capacity: usize,
     },
-    /// The request's deadline budget expired before a worker finished
-    /// it. `stage` names where the budget ran out.
+    /// The request's deadline budget expired before the service
+    /// finished it. `stage` names where the budget ran out.
     DeadlineExceeded {
         /// Pipeline stage that observed the expiry (`"queued"` when the
-        /// request aged out before processing, `"backend"` after).
+        /// budget ran out waiting for the shard, `"backend"` after
+        /// backend work).
         stage: &'static str,
         /// The budget the request carried.
         budget: Duration,
     },
     /// The service is draining or has shut down; no new work is
-    /// accepted. Queued requests that could not be served within the
-    /// drain deadline also get this error rather than vanishing.
+    /// accepted. Admitted requests still waiting for their shard past
+    /// the drain deadline also get this error rather than vanishing.
     ShuttingDown,
-    /// The worker thread processing this request panicked outside the
-    /// backend sandbox and its reply channel was lost. The caller got
-    /// this structured error instead of a hang.
-    WorkerLost {
-        /// Index of the worker that died.
-        worker: usize,
-    },
     /// A backend call panicked. The panic was contained, the breaker
     /// for that component recorded the failure, and the request was
     /// answered with this error.
     BackendPanicked {
-        /// Name of the backend component that panicked.
+        /// Name of the backend component that panicked, or `"service"`
+        /// for a panic outside the backend sandbox.
         component: &'static str,
     },
-    /// No reply arrived within the caller's patience window — a
-    /// belt-and-braces bound so a caller can never block forever even
-    /// if a worker wedges.
+    /// No reply frame arrived within a TCP client's read timeout, so a
+    /// caller never blocks forever on a wedged or unreachable peer.
     ReplyTimeout {
         /// How long the caller waited.
         waited: Duration,
@@ -83,7 +77,8 @@ impl ServiceError {
             ServiceError::Shed { .. } => 1,
             ServiceError::DeadlineExceeded { .. } => 2,
             ServiceError::ShuttingDown => 3,
-            ServiceError::WorkerLost { .. } => 4,
+            // 4 is retired: it named a lost worker thread, and the
+            // service has none. Never reuse it.
             ServiceError::BackendPanicked { .. } => 5,
             ServiceError::ReplyTimeout { .. } => 6,
             ServiceError::BadSnapshot(_) => 7,
@@ -112,14 +107,10 @@ impl Classify for ServiceError {
             ServiceError::DeadlineExceeded { .. }
             | ServiceError::ReplyTimeout { .. }
             | ServiceError::BackendPanicked { .. } => ErrorClass::Transient,
-            // `WorkerLost` is permanent from the caller's perspective:
-            // the request may have partially trained the backend, so a
-            // blind resend can double-count.
             // `Fenced` is permanent *for the frame as sent*: the same
             // stale epoch will bounce forever. The router re-routes
             // under the current epoch instead of blind-resending.
             ServiceError::ShuttingDown
-            | ServiceError::WorkerLost { .. }
             | ServiceError::Protocol(_)
             | ServiceError::Fenced { .. } => ErrorClass::Permanent,
             ServiceError::BadSnapshot(_) => ErrorClass::Corrupt,
@@ -131,15 +122,12 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::Shed { capacity } => {
-                write!(f, "request shed: ingress queue full (capacity {capacity})")
+                write!(f, "request shed: shard queue full (capacity {capacity})")
             }
             ServiceError::DeadlineExceeded { stage, budget } => {
                 write!(f, "deadline exceeded in stage '{stage}' (budget {budget:?})")
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
-            ServiceError::WorkerLost { worker } => {
-                write!(f, "worker {worker} lost before replying")
-            }
             ServiceError::BackendPanicked { component } => {
                 write!(f, "backend '{component}' panicked (contained)")
             }
@@ -161,28 +149,43 @@ impl std::error::Error for ServiceError {}
 mod tests {
     use super::*;
 
-    #[test]
-    fn codes_are_distinct() {
-        let all = [
+    /// One value of every variant.
+    fn every_variant() -> [ServiceError; 8] {
+        [
             ServiceError::Shed { capacity: 8 },
             ServiceError::DeadlineExceeded {
                 stage: "queued",
                 budget: Duration::from_millis(1),
             },
             ServiceError::ShuttingDown,
-            ServiceError::WorkerLost { worker: 0 },
-            ServiceError::BackendPanicked { component: "hybrid" },
+            ServiceError::BackendPanicked {
+                component: "hybrid",
+            },
             ServiceError::ReplyTimeout {
                 waited: Duration::from_secs(1),
             },
             ServiceError::BadSnapshot("x".into()),
             ServiceError::Protocol("y".into()),
             ServiceError::Fenced { fence: 2, sent: 1 },
-        ];
+        ]
+    }
+
+    #[test]
+    fn codes_are_distinct() {
+        let all = every_variant();
         let mut codes: Vec<u8> = all.iter().map(ServiceError::code).collect();
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), all.len());
+    }
+
+    #[test]
+    fn retired_error_code_4_stays_unclaimed() {
+        // Code 4 named a lost worker thread. A peer built before its
+        // retirement may still send it, so no variant may take it over.
+        for e in every_variant() {
+            assert_ne!(e.code(), 4, "{e}");
+        }
     }
 
     #[test]
@@ -203,17 +206,7 @@ mod tests {
         assert_eq!(ServiceError::BadSnapshot("x".into()).error_class(), ErrorClass::Corrupt);
         // The legacy predicate and the class-derived one agree on every
         // variant.
-        for e in [
-            ServiceError::Shed { capacity: 8 },
-            ServiceError::DeadlineExceeded { stage: "queued", budget: Duration::from_millis(1) },
-            ServiceError::ShuttingDown,
-            ServiceError::WorkerLost { worker: 0 },
-            ServiceError::BackendPanicked { component: "hybrid" },
-            ServiceError::ReplyTimeout { waited: Duration::from_secs(1) },
-            ServiceError::BadSnapshot("x".into()),
-            ServiceError::Protocol("y".into()),
-            ServiceError::Fenced { fence: 2, sent: 1 },
-        ] {
+        for e in every_variant() {
             assert_eq!(e.is_retryable(), e.error_class().is_retryable(), "{e}");
         }
         assert_eq!(ServiceError::Fenced { fence: 2, sent: 1 }.code(), ServiceError::FENCED_CODE);

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! A worker steps **down** immediately when the rung's breaker trips or
-//! the ingress queue crosses its pressure watermark, and steps back
+//! its shard's queue crosses the pressure watermark, and steps back
 //! **up** only one rung at a time, after `promote_after` consecutive
 //! healthy requests *and* only when the better rung's breaker permits
 //! calls again — so a flapping backend cannot yank the service straight
@@ -110,14 +110,14 @@ pub struct Ladder {
 
 /// What the ladder needs to know about the world each time it
 /// reassesses: which rungs' backends would currently accept a call, and
-/// how deep the ingress queue is.
+/// how many callers are queued for the shard.
 #[derive(Debug, Clone, Copy)]
 pub struct LadderInputs {
     /// Hybrid breaker permits calls (closed or half-open).
     pub hybrid_available: bool,
     /// Stride breaker permits calls.
     pub stride_available: bool,
-    /// Current ingress queue depth of this worker.
+    /// Callers currently waiting for this worker's shard.
     pub queue_depth: usize,
 }
 
@@ -183,7 +183,7 @@ impl Ladder {
     /// healthy requests (tracked via [`Ladder::note_outcome`]) and
     /// climb one rung at a time.
     pub fn reassess(&mut self, inputs: &LadderInputs) -> Rung {
-        // Pressure hysteresis on the ingress queue.
+        // Pressure hysteresis on the shard's queue.
         if inputs.queue_depth >= self.config.pressure_high {
             self.pressured = true;
         } else if inputs.queue_depth <= self.config.pressure_low {

@@ -1,23 +1,25 @@
 //! # cap-service — a resilient prediction service
 //!
-//! The paper's predictors run here as a long-lived, multi-worker
+//! The paper's predictors run here as a long-lived, sharded
 //! **service**: prediction/train requests come in over an in-process
 //! [`service::ServiceHandle`] or the length-prefixed TCP protocol in
-//! [`net`], are routed by load IP to worker threads, and are answered
-//! under explicit robustness machinery:
+//! [`net`], are routed by load IP to one of N shards (a worker's state
+//! behind its own mutex), are served on the caller's own thread, and
+//! are answered under explicit robustness machinery:
 //!
-//! * **Backpressure** — each worker's ingress queue is a bounded
-//!   `sync_channel`; admission control sheds with a structured
-//!   [`error::ServiceError::Shed`] instead of queueing unboundedly
-//!   ([`service`]).
+//! * **Backpressure** — each shard counts the callers waiting for its
+//!   lock; admission control sheds with a structured
+//!   [`error::ServiceError::Shed`] once `queue_capacity` are waiting,
+//!   instead of queueing unboundedly ([`service`]).
 //! * **Deadline budgets** — a request may carry a budget; it is checked
-//!   when dequeued (`queued` stage) and after backend work (`backend`
-//!   stage), and expiry is accounted, never silently ignored.
+//!   once the caller holds its shard (`queued` stage) and after backend
+//!   work (`backend` stage), and expiry is accounted, never silently
+//!   ignored.
 //! * **Circuit breakers** — every backend slot sits behind a
 //!   closed/open/half-open [`breaker::CircuitBreaker`] with seeded,
 //!   jittered probe scheduling.
 //! * **Graceful degradation** — the [`ladder::Ladder`] steps each
-//!   worker down hybrid → stride-only → bypass under breaker trips or
+//!   shard down hybrid → stride-only → bypass under breaker trips or
 //!   queue pressure and climbs back one rung at a time after sustained
 //!   health — the service-granularity analogue of the paper's per-load
 //!   confidence fallback, with the same bias: a wrong (late, failing)

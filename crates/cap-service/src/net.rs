@@ -1,11 +1,14 @@
 //! Blocking TCP front end over [`crate::wire`].
 //!
 //! One thread per connection, frames dispatched straight into a
-//! [`ServiceHandle`] — the service's own queues provide all the
-//! backpressure, so a flood of connections cannot queue unbounded work;
-//! it gets structured `Shed` errors like everyone else. The server
-//! never trusts the peer: oversized frames, unknown opcodes, and torn
-//! reads all produce structured protocol errors or clean disconnects.
+//! [`ServiceHandle`]: the connection thread itself serves each request
+//! under its shard's lock, so one connection's requests run in order
+//! and N connections run up to N shards at once. Each shard admits at
+//! most `queue_capacity` waiting connection threads, so a flood of
+//! connections cannot queue unbounded work on a shard; the excess gets
+//! structured `Shed` errors like everyone else. The server never
+//! trusts the peer: oversized frames, unknown opcodes, and torn reads
+//! all produce structured protocol errors or clean disconnects.
 //!
 //! Stats rendering is a pluggable callback so the serving binary can
 //! supply the workspace's shared JSON emitter without this crate
