@@ -3,13 +3,18 @@
 //! Every case runs `OooCore` over one catalog trace and renders one
 //! line: each `CoreStats` field (the L1 hit rate as its raw bits) and
 //! each `PredictorStats` counter. The matrix takes the first trace of
-//! each suite at 20 000 loads and runs it five ways:
+//! each suite at 20 000 loads and runs it seven ways:
 //!
 //! * no predictor, §4.1 defaults;
 //! * the paper-default hybrid at gap 0;
 //! * the pipelined hybrid (`HybridConfig::paper_pipelined`) at gap 8;
 //! * the paper-default hybrid with stride prefetching on;
-//! * no predictor with a 16-entry ROB.
+//! * no predictor with a 16-entry ROB;
+//! * no predictor, 1 wide with a 2-entry ROB;
+//! * the paper-default hybrid at gap 0, 2 wide with a 4-entry ROB.
+//!
+//! The last two narrow fetch, dispatch and commit, so the in-order
+//! stages, not the ALUs or ports, bound the schedule.
 //!
 //! A last case runs two traces back to back through one core and one
 //! predictor, so state carried across `run` calls (slot bookings, caches,
@@ -94,6 +99,12 @@ fn ways() -> Vec<Way> {
     prefetch.prefetch = true;
     let mut rob16 = paper;
     rob16.rob_entries = 16;
+    let mut w1_rob2 = paper;
+    w1_rob2.width = 1;
+    w1_rob2.rob_entries = 2;
+    let mut w2_rob4 = paper;
+    w2_rob4.width = 2;
+    w2_rob4.rob_entries = 4;
     vec![
         Way {
             name: "base",
@@ -123,6 +134,18 @@ fn ways() -> Vec<Way> {
             name: "base_rob16",
             core: rob16,
             predictor: None,
+            gap: 0,
+        },
+        Way {
+            name: "base_w1_rob2",
+            core: w1_rob2,
+            predictor: None,
+            gap: 0,
+        },
+        Way {
+            name: "hybrid_w2_rob4",
+            core: w2_rob4,
+            predictor: Some(HybridConfig::paper_default()),
             gap: 0,
         },
     ]
