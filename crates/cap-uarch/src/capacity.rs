@@ -2,30 +2,42 @@
 //!
 //! The timing model assigns each instruction timestamps (fetch, dispatch,
 //! issue, complete, commit) subject to structural limits: fetch width,
-//! dispatch width, functional units, cache ports, commit width. A
-//! [`SlotTracker`] answers "what is the first cycle at or after `t` with a
-//! free slot?" and books it.
+//! dispatch width, functional units, cache ports, commit width. Each
+//! limit answers "what is the first cycle at or after `t` with a free
+//! slot?" and books it. It comes in two kinds:
 //!
-//! Bookings live in a dense window of per-cycle counts that starts at the
-//! retire frontier, so a probe is an index, not a hash lookup. The window
-//! spans the cycles from the frontier to the latest booking. In the core
-//! that is the distance from the dispatch cycle of the last prune point
-//! (every 8 192 instructions) to the latest commit. One instruction moves
-//! the latest commit by at most `frontend + redirect + agen + replay`
-//! plus its longest latency (memory, or a 20-cycle divide), 87 cycles at
-//! the paper's values, plus spills past full cycles. A window therefore
-//! stays below about `8192 + rob_entries` times that sum:
+//! * An in-order stage (fetch, dispatch, commit) never receives a request
+//!   below its previous one, so its first fit lies at its latest booked
+//!   cycle or later. [`InOrderSlots`] keeps only that cycle and its count.
+//! * An out-of-order resource (the ALUs, the cache ports) receives
+//!   requests in any order. [`SlotTracker`] keeps a first-fit window from
+//!   a retire frontier, below which requests are floored.
+//!
+//! A [`SlotTracker`]'s bookings live in a dense window of per-cycle counts
+//! that starts at the retire frontier, so a probe is an index, not a hash
+//! lookup. The window spans the cycles from the frontier to the latest
+//! booking. In the core that is the distance from the dispatch cycle of
+//! the last prune point (every 8 192 instructions) to the latest ALU or
+//! port booking, which precedes that instruction's commit. One
+//! instruction moves the latest commit by at most `frontend + redirect +
+//! agen + replay` plus its longest latency (memory, or a 20-cycle divide),
+//! 87 cycles at the paper's values, plus spills past full cycles. A window
+//! therefore stays below about `8192 + rob_entries` times that sum:
 //!
 //! * 0.72 M cycles (2.8 MiB of counts) at the paper's values;
 //! * 10.6 M cycles (41 MiB) with a 128-entry ROB and every latency at the
 //!   256-cycle restore ceiling ([`crate::hierarchy::LatencyConfig`]).
 //!
-//! A restore rejects any booking `2^24` or more cycles above the frontier
-//! before it allocates, so a restored window holds at most 64 MiB.
+//! Both kinds snapshot the same payload: width, frontier, then `(cycle,
+//! count)` bookings. A restore rejects a frontier at or above `2^62`,
+//! which no simulation reaches, and any booking `2^24` or more cycles
+//! above the frontier, before it allocates. So a restored window holds at
+//! most 64 MiB, and booking past it cannot overflow a cycle number.
 
 use std::collections::VecDeque;
 
-/// Books up to `width` events per cycle.
+/// Books up to `width` events per cycle for an out-of-order resource, one
+/// whose requests arrive in any order.
 ///
 /// Memory is proportional to the span between the retire frontier and
 /// the latest booking (see the module docs), not to the number of
@@ -51,10 +63,6 @@ pub struct SlotTracker {
 }
 
 impl SlotTracker {
-    /// Restore ceiling: a booking must lie fewer than this many cycles
-    /// above the frontier.
-    const MAX_SPAN: u64 = 1 << 24;
-
     /// Creates a tracker with `width` slots per cycle.
     ///
     /// # Panics
@@ -110,6 +118,53 @@ impl SlotTracker {
 
 use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
 
+/// Restore ceiling on the frontier; no simulation reaches it.
+const MAX_FRONTIER: u64 = 1 << 62;
+/// Restore ceiling: a booking must lie fewer than this many cycles above
+/// the frontier.
+const MAX_SPAN: u64 = 1 << 24;
+
+/// Reads and checks a slot payload: width, frontier, then `(cycle,
+/// count)` bookings. Passes each booking at or above the frontier to
+/// `keep` as `(offset above the frontier, count)`, in payload order, and
+/// drops the rest: below the frontier a booking can never be read again.
+fn read_slots(
+    r: &mut SectionReader<'_>,
+    mut keep: impl FnMut(u64, u32),
+) -> Result<(u32, u64), SnapshotError> {
+    let width = r.take_u32("slot tracker width")?;
+    if width == 0 {
+        return Err(r.bad_value("slot tracker width is zero".to_string()));
+    }
+    let frontier = r.take_u64("slot tracker frontier")?;
+    if frontier >= MAX_FRONTIER {
+        return Err(r.bad_value(format!(
+            "slot tracker frontier {frontier} at or above {MAX_FRONTIER}"
+        )));
+    }
+    let len = r.take_len(12, "slot tracker booking count")?;
+    for _ in 0..len {
+        let cycle = r.take_u64("slot tracker cycle")?;
+        let count = r.take_u32("slot tracker booking")?;
+        if count > width {
+            return Err(r.bad_value(format!(
+                "slot tracker books {count} at cycle {cycle}, above width {width}"
+            )));
+        }
+        let Some(offset) = cycle.checked_sub(frontier) else {
+            continue;
+        };
+        if offset >= MAX_SPAN {
+            return Err(r.bad_value(format!(
+                "slot tracker booking at cycle {cycle} is {offset} cycles above \
+                 frontier {frontier} (limit {MAX_SPAN})"
+            )));
+        }
+        keep(offset, count);
+    }
+    Ok((width, frontier))
+}
+
 impl Snapshot for SlotTracker {
     fn write_state(&self, w: &mut SectionWriter) {
         w.put_u32(self.width);
@@ -126,42 +181,146 @@ impl Snapshot for SlotTracker {
 
 impl Restorable for SlotTracker {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let width = r.take_u32("slot tracker width")?;
-        if width == 0 {
-            return Err(r.bad_value("slot tracker width is zero".to_string()));
-        }
-        let frontier = r.take_u64("slot tracker frontier")?;
-        let len = r.take_len(12, "slot tracker booking count")?;
         let mut used = VecDeque::new();
-        for _ in 0..len {
-            let cycle = r.take_u64("slot tracker cycle")?;
-            let count = r.take_u32("slot tracker booking")?;
-            if count > width {
-                return Err(r.bad_value(format!(
-                    "slot tracker books {count} at cycle {cycle}, above width {width}"
-                )));
-            }
-            // Below the frontier a booking can never be read again.
-            let Some(offset) = cycle.checked_sub(frontier) else {
-                continue;
-            };
-            if offset >= Self::MAX_SPAN {
-                return Err(r.bad_value(format!(
-                    "slot tracker booking at cycle {cycle} is {offset} cycles above \
-                     frontier {frontier} (limit {})",
-                    Self::MAX_SPAN
-                )));
-            }
+        let (width, frontier) = read_slots(r, |offset, count| {
             let i = offset as usize;
             if i >= used.len() {
                 used.resize(i + 1, 0);
             }
             used[i] = count;
-        }
+        })?;
         Ok(Self {
             width,
             used,
             frontier,
+        })
+    }
+}
+
+/// Books up to `width` events per cycle for an in-order stage: one whose
+/// requests never decrease.
+///
+/// With requests that never decrease, every cycle from the latest request
+/// up to the latest booked cycle is full: a booking at `c` for a request
+/// `r` found `r..c` full, and the next request is at least `r`. So a
+/// first-fit booking lands in the latest booked cycle while it has a free
+/// slot, in the next one once it is full, or at the request if that lies
+/// later. The stage keeps only that cycle and its count, so a booking
+/// takes O(1) and there is no window to prune. It books exactly where a
+/// [`SlotTracker`] given the same requests does.
+///
+/// In [`crate::core::OooCore`] fetch, dispatch and commit are in-order
+/// stages. None of them needs the floor that pruning a [`SlotTracker`]
+/// at the core's prune points (every 8 192 instructions) would raise;
+/// such a floor never changes a simulated cycle:
+///
+/// * **Fetch** asks for `redirect_time`, a running max. A prune would set
+///   the floor to the current fetch cycle. Every cycle between an older
+///   `redirect_time` and that cycle is already full, so the floor never
+///   binds.
+/// * **Commit** asks for `complete.max(last_commit)`. Every later request
+///   is at least its `complete`, and that is at least the dispatch cycle
+///   at which commit would be pruned.
+/// * **Dispatch** asks for `fetch + frontend_latency`. A prune would
+///   raise its floor to the ROB-adjusted dispatch cycle. That floor sits
+///   above later requests only while the ROB binds. Bookings would then
+///   stack `width` per cycle from the floor. Commits are also `width`
+///   wide, so they raise the ROB bound (`oldest`) at least as fast. The
+///   core's final `dispatch.max(oldest)` is therefore the ROB bound
+///   either way.
+///
+/// # Examples
+///
+/// ```
+/// use cap_uarch::capacity::InOrderSlots;
+/// let mut commit = InOrderSlots::new(2);
+/// assert_eq!(commit.alloc(10), 10);
+/// assert_eq!(commit.alloc(10), 10);
+/// assert_eq!(commit.alloc(10), 11, "third commit spills to the next cycle");
+/// assert_eq!(commit.alloc(20), 20, "a later request books at itself");
+/// ```
+#[derive(Debug, Clone)]
+pub struct InOrderSlots {
+    width: u32,
+    /// The latest booked cycle; while `count` is 0, the floor of the next
+    /// booking.
+    cycle: u64,
+    /// Slots booked in `cycle`.
+    count: u32,
+    /// The previous request, for the debug check that requests never
+    /// decrease. Not snapshotted.
+    last_request: u64,
+}
+
+impl InOrderSlots {
+    /// Creates a stage with `width` slots per cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0`.
+    #[must_use]
+    pub fn new(width: u32) -> Self {
+        assert!(width > 0, "width must be positive");
+        Self {
+            width,
+            cycle: 0,
+            count: 0,
+            last_request: 0,
+        }
+    }
+
+    /// Books one slot at the first cycle `>= at` with spare capacity and
+    /// returns that cycle. `at` must not be below the previous request.
+    pub fn alloc(&mut self, at: u64) -> u64 {
+        debug_assert!(
+            at >= self.last_request,
+            "in-order request {at} below the previous one, {}",
+            self.last_request
+        );
+        self.last_request = at;
+        if at > self.cycle {
+            self.cycle = at;
+            self.count = 1;
+        } else if self.count < self.width {
+            self.count += 1;
+        } else {
+            self.cycle += 1;
+            self.count = 1;
+        }
+        self.cycle
+    }
+}
+
+impl Snapshot for InOrderSlots {
+    /// Written as a [`SlotTracker`] window that starts at the latest booked
+    /// cycle and holds its one booking.
+    fn write_state(&self, w: &mut SectionWriter) {
+        w.put_u32(self.width);
+        w.put_u64(self.cycle);
+        w.put_len(usize::from(self.count > 0));
+        if self.count > 0 {
+            w.put_u64(self.cycle);
+            w.put_u32(self.count);
+        }
+    }
+}
+
+impl Restorable for InOrderSlots {
+    /// Reads any [`SlotTracker`] window and keeps its latest booking, so a
+    /// window written by a pruned tracker restores too.
+    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        let mut latest: Option<(u64, u32)> = None;
+        let (width, frontier) = read_slots(r, |offset, count| {
+            if count > 0 && latest.is_none_or(|(o, _)| offset >= o) {
+                latest = Some((offset, count));
+            }
+        })?;
+        let (offset, count) = latest.unwrap_or((0, 0));
+        Ok(Self {
+            width,
+            cycle: frontier + offset,
+            count,
+            last_request: 0,
         })
     }
 }
@@ -207,5 +366,20 @@ mod tests {
     #[should_panic(expected = "width must be positive")]
     fn zero_width_rejected() {
         let _ = SlotTracker::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "width must be positive")]
+    fn zero_width_stage_rejected() {
+        let _ = InOrderSlots::new(0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the previous one")]
+    fn in_order_requests_may_not_decrease() {
+        let mut t = InOrderSlots::new(2);
+        t.alloc(5);
+        t.alloc(4);
     }
 }

@@ -9,7 +9,7 @@
 //! Each dynamic instruction is assigned fetch → dispatch → issue →
 //! complete → commit timestamps subject to data dependences (through the
 //! architectural registers carried by the trace) and structural capacity
-//! ([`crate::capacity::SlotTracker`]). This interval-style model captures
+//! ([`crate::capacity`]). This interval-style model captures
 //! what the speedup figures measure — how much load-to-use latency the
 //! address predictor removes from critical paths — without simulating
 //! wrong-path instructions. Wrong-path *address predictor updates* (§5.4)
@@ -39,7 +39,7 @@
 
 use crate::branch::{BranchPredictor, HybridBranchPredictor};
 use crate::cache::CacheConfig;
-use crate::capacity::SlotTracker;
+use crate::capacity::{InOrderSlots, SlotTracker};
 use crate::hierarchy::{LatencyConfig, MemoryHierarchy};
 use crate::names;
 use cap_obs::Obs;
@@ -160,9 +160,9 @@ pub struct OooCore {
     config: CoreConfig,
     mem: MemoryHierarchy,
     branch: HybridBranchPredictor,
-    fetch_slots: SlotTracker,
-    dispatch_slots: SlotTracker,
-    commit_slots: SlotTracker,
+    fetch_slots: InOrderSlots,
+    dispatch_slots: InOrderSlots,
+    commit_slots: InOrderSlots,
     alu: SlotTracker,
     ports: SlotTracker,
     reg_ready: [u64; RegId::COUNT],
@@ -183,9 +183,9 @@ impl OooCore {
         Self {
             mem: MemoryHierarchy::new(config.l1, config.l2, config.latency),
             branch: HybridBranchPredictor::paper_default(),
-            fetch_slots: SlotTracker::new(config.width),
-            dispatch_slots: SlotTracker::new(config.width),
-            commit_slots: SlotTracker::new(config.width),
+            fetch_slots: InOrderSlots::new(config.width),
+            dispatch_slots: InOrderSlots::new(config.width),
+            commit_slots: InOrderSlots::new(config.width),
             alu: SlotTracker::new(config.alu_units),
             ports: SlotTracker::new(config.mem_ports),
             reg_ready: [0; RegId::COUNT],
@@ -412,13 +412,11 @@ impl OooCore {
             self.commit_ring.push_back(commit);
             self.stats.instructions += 1;
 
-            // Allow trackers to prune below the dispatch frontier.
+            // Allow the out-of-order trackers to prune below the dispatch
+            // frontier; the in-order stages hold no window.
             if self.stats.instructions.is_multiple_of(8192) {
-                self.fetch_slots.retire_below(fetch);
-                self.dispatch_slots.retire_below(dispatch);
                 self.alu.retire_below(dispatch);
                 self.ports.retire_below(dispatch);
-                self.commit_slots.retire_below(dispatch);
                 if self.obs.enabled() {
                     self.publish_occupancy();
                 }
@@ -569,9 +567,9 @@ impl Restorable for OooCore {
         let config = CoreConfig::read_state(r)?;
         let mem = MemoryHierarchy::read_state(r)?;
         let branch = HybridBranchPredictor::read_state(r)?;
-        let fetch_slots = SlotTracker::read_state(r)?;
-        let dispatch_slots = SlotTracker::read_state(r)?;
-        let commit_slots = SlotTracker::read_state(r)?;
+        let fetch_slots = InOrderSlots::read_state(r)?;
+        let dispatch_slots = InOrderSlots::read_state(r)?;
+        let commit_slots = InOrderSlots::read_state(r)?;
         let alu = SlotTracker::read_state(r)?;
         let ports = SlotTracker::read_state(r)?;
         let mut reg_ready = [0u64; RegId::COUNT];

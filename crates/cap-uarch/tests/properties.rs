@@ -7,7 +7,7 @@ use cap_rand::{Rng, SeedableRng};
 use cap_snapshot::{Restorable, Snapshot};
 use cap_trace::builder::TraceBuilder;
 use cap_trace::record::OpLatency;
-use cap_uarch::capacity::SlotTracker;
+use cap_uarch::capacity::{InOrderSlots, SlotTracker};
 use cap_uarch::core::{run_trace, CoreConfig};
 use cap_uarch::prelude::*;
 use std::collections::BTreeMap;
@@ -66,6 +66,64 @@ fn slot_tracker_respects_width() {
             }
         }
     });
+}
+
+/// InOrderSlots books exactly where the reference first-fit model does
+/// under requests that never decrease: runs of equal requests, small
+/// steps and jumps past every booking, across a snapshot round-trip at a
+/// random step.
+#[test]
+fn in_order_slots_match_first_fit() {
+    check::run("in_order_slots_match_first_fit", |rng| {
+        let width = rng.gen_range(1u32..8);
+        let steps = rng.gen_range(1usize..300);
+        let restore_at = rng.gen_range(0..steps);
+        let mut t = InOrderSlots::new(width);
+        let mut model = FirstFit {
+            width,
+            used: BTreeMap::new(),
+            floor: 0,
+        };
+        let mut at = 0u64;
+        for step in 0..steps {
+            if step == restore_at {
+                t = InOrderSlots::from_payload(&t.to_payload(), "slots")
+                    .expect("own payload restores");
+            }
+            at += match rng.gen_range(0..4) {
+                0 | 1 => 0,
+                2 => rng.gen_range(1u64..4),
+                _ => rng.gen_range(4u64..64),
+            };
+            let got = t.alloc(at);
+            assert_eq!(got, model.alloc(at), "alloc({at}) at step {step}");
+        }
+    });
+}
+
+/// A stage restored from a window a pruned SlotTracker wrote keeps
+/// booking where first fit over the same bookings does.
+#[test]
+fn in_order_slots_restore_a_tracker_window() {
+    let bookings = [(100u64, 8u32), (101, 8), (102, 3)];
+    let mut tracker = SlotTracker::new(8);
+    tracker.retire_below(100);
+    for &(cycle, count) in &bookings {
+        for _ in 0..count {
+            assert_eq!(tracker.alloc(cycle), cycle);
+        }
+    }
+    let mut t = InOrderSlots::from_payload(&tracker.to_payload(), "slots")
+        .expect("a tracker window restores");
+    let mut model = FirstFit {
+        width: 8,
+        used: bookings.into_iter().collect(),
+        floor: 100,
+    };
+    let booked: Vec<u64> = (0..6).map(|_| t.alloc(100)).collect();
+    assert_eq!(booked, [102, 102, 102, 102, 102, 103]);
+    let modelled: Vec<u64> = (0..6).map(|_| model.alloc(100)).collect();
+    assert_eq!(booked, modelled);
 }
 
 /// Cache hit/miss counts always sum to accesses; hit rate in [0,1].

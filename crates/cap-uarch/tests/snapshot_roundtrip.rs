@@ -10,7 +10,7 @@ use cap_snapshot::{
     Restorable, SectionWriter, Snapshot, SnapshotArchive, SnapshotBuilder, SnapshotError,
 };
 use cap_trace::Trace;
-use cap_uarch::capacity::SlotTracker;
+use cap_uarch::capacity::{InOrderSlots, SlotTracker};
 use cap_uarch::core::{CoreConfig, CoreStats, OooCore};
 use cap_uarch::hierarchy::LatencyConfig;
 
@@ -83,6 +83,9 @@ fn hostile_core_payload_never_panics() {
     }
 }
 
+/// The restore ceiling on a slot window's frontier.
+const CEILING: u64 = 1 << 62;
+
 /// A slot-tracker payload: width, frontier, then `(cycle, count)`
 /// bookings.
 fn slot_payload(width: u32, frontier: u64, bookings: &[(u64, u32)]) -> Vec<u8> {
@@ -125,10 +128,59 @@ fn hostile_slot_bookings_are_rejected_before_allocating() {
     assert_eq!(t.alloc(120), 121, "restored booking still fills its cycle");
     assert_eq!(t.alloc(0), 100, "frontier still floors requests");
 
-    // A window at the very top of the cycle range re-encodes unchanged.
-    let top = slot_payload(2, u64::MAX, &[(u64::MAX, 1)]);
-    let t = SlotTracker::from_payload(&top, "slots").expect("top-of-range window restores");
+    // A full window at the top of the cycle range would overflow on its
+    // next booking; the frontier ceiling rejects it.
+    let overflowing = slot_payload(2, u64::MAX, &[(u64::MAX, 2)]);
+    assert_bad_value(
+        SlotTracker::from_payload(&overflowing, "slots"),
+        "full window at u64::MAX",
+    );
+    // Just under the ceiling a window restores, re-encodes unchanged and
+    // books past its full cycle.
+    let top = slot_payload(2, CEILING - 1, &[(CEILING - 1, 2)]);
+    let mut t =
+        SlotTracker::from_payload(&top, "slots").expect("window under the ceiling restores");
     assert_eq!(t.to_payload(), top);
+    let booked: Vec<u64> = (0..3).map(|_| t.alloc(0)).collect();
+    assert_eq!(booked, [CEILING, CEILING, CEILING + 1]);
+}
+
+#[test]
+fn hostile_in_order_bookings_are_rejected_before_allocating() {
+    for (payload, case) in [
+        (slot_payload(0, 100, &[]), "width zero"),
+        (
+            slot_payload(4, 100, &[(100 + (1 << 40), 1)]),
+            "booking 2^40 above frontier",
+        ),
+        (slot_payload(4, 100, &[(120, 5)]), "count of width + 1"),
+        (
+            slot_payload(2, u64::MAX, &[(u64::MAX, 2)]),
+            "full window at u64::MAX",
+        ),
+        (slot_payload(2, CEILING, &[]), "frontier at the ceiling"),
+    ] {
+        assert_bad_value(InOrderSlots::from_payload(&payload, "slots"), case);
+    }
+
+    // A stage keeps a window's latest booking and drops the rest.
+    let window = slot_payload(2, 100, &[(50, 2), (110, 1), (120, 2)]);
+    let mut t = InOrderSlots::from_payload(&window, "slots").expect("window restores");
+    assert_eq!(t.to_payload(), slot_payload(2, 120, &[(120, 2)]));
+    assert_eq!(t.alloc(120), 121, "the latest booked cycle is full");
+
+    // An empty window keeps its frontier as the floor.
+    let empty = slot_payload(2, 100, &[(50, 2)]);
+    let mut t = InOrderSlots::from_payload(&empty, "slots").expect("empty window restores");
+    assert_eq!(t.to_payload(), slot_payload(2, 100, &[]));
+    assert_eq!(t.alloc(0), 100, "frontier floors requests");
+
+    let top = slot_payload(2, CEILING - 1, &[(CEILING - 1, 2)]);
+    let mut t =
+        InOrderSlots::from_payload(&top, "slots").expect("stage under the ceiling restores");
+    assert_eq!(t.to_payload(), top);
+    let booked: Vec<u64> = (0..3).map(|_| t.alloc(0)).collect();
+    assert_eq!(booked, [CEILING, CEILING, CEILING + 1]);
 }
 
 #[test]
