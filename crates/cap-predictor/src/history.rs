@@ -14,8 +14,12 @@
 //! (Figure 9). Hardware would keep only the folded register; the folded
 //! value we compute is identical to what an incremental implementation of
 //! width `index_bits + tag_bits` produces.
-
-use std::collections::VecDeque;
+//!
+//! The addresses live inline in a fixed array of
+//! [`HistoryBuffer::CAPACITY`] = 12 slots, so a history is part of its
+//! Load Buffer entry and never touches the heap. 12 is the longest history
+//! the paper sweeps (Figure 9: lengths 1–12), and specs and archives that
+//! ask for more are rejected.
 
 /// Parameters of the history compression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,10 +58,14 @@ impl HistorySpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is degenerate (zero length, zero shift, zero
-    /// width, or width > 63).
+    /// Panics if the spec is degenerate (zero length, length above
+    /// [`HistoryBuffer::CAPACITY`], zero shift, zero width, or width > 63).
     pub fn validate(&self) {
         assert!(self.length > 0, "history length must be positive");
+        assert!(
+            self.length <= HistoryBuffer::CAPACITY,
+            "history length must be at most 12"
+        );
         assert!(self.shift > 0, "shift amount must be positive");
         assert!(self.width() > 0, "folded width must be positive");
         assert!(self.width() <= 63, "folded width must fit in u64");
@@ -74,44 +82,56 @@ pub struct FoldedHistory {
 }
 
 /// A bounded FIFO of recent (base) addresses for one static load.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// The recorded addresses are the last `len` slots of `addrs`, oldest
+/// first, so a push shifts the whole fixed-size array by one slot and
+/// writes the newest address at the end.
+#[derive(Clone, Default)]
 pub struct HistoryBuffer {
-    addrs: VecDeque<u64>,
+    addrs: [u64; HistoryBuffer::CAPACITY],
+    len: usize,
 }
 
 impl HistoryBuffer {
+    /// The most addresses a history holds: Figure 9's longest length.
+    pub const CAPACITY: usize = 12;
+
     /// Creates an empty history.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// The recorded addresses, oldest first.
+    fn as_slice(&self) -> &[u64] {
+        &self.addrs[Self::CAPACITY - self.len..]
+    }
+
     /// Records `addr` as the most recent address, keeping at most
     /// `spec.length` entries.
     pub fn push(&mut self, addr: u64, spec: &HistorySpec) {
-        self.addrs.push_back(addr);
-        while self.addrs.len() > spec.length {
-            self.addrs.pop_front();
-        }
+        self.addrs.copy_within(1.., 0);
+        self.addrs[Self::CAPACITY - 1] = addr;
+        self.len = (self.len + 1).min(spec.length).min(Self::CAPACITY);
     }
 
     /// Number of recorded addresses (≤ `spec.length`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.len
     }
 
     /// True when no addresses have been recorded yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.len == 0
     }
 
     /// True once the history holds `spec.length` addresses — predictions
     /// before that point would index the LT with a partial context.
     #[must_use]
     pub fn is_warm(&self, spec: &HistorySpec) -> bool {
-        self.addrs.len() >= spec.length
+        self.len >= spec.length
     }
 
     /// Folds the recorded addresses with the shift(m)-xor scheme and splits
@@ -133,8 +153,8 @@ impl HistoryBuffer {
         let width = spec.width();
         let mask = (1u64 << width) - 1;
         let mut h: u64 = 0;
-        let skip = self.addrs.len().saturating_sub(length);
-        for &a in self.addrs.iter().skip(skip) {
+        let recorded = self.as_slice();
+        for &a in &recorded[recorded.len().saturating_sub(length)..] {
             // All LSBs except the last two (alignment bits), per §3.2.
             h = ((h << spec.shift) ^ (a >> 2)) & mask;
         }
@@ -151,7 +171,7 @@ impl HistoryBuffer {
     /// True once at least `length` addresses are recorded.
     #[must_use]
     pub fn has_at_least(&self, length: usize) -> bool {
-        self.addrs.len() >= length
+        self.len >= length
     }
 
     /// Flips one bit of a recorded address, modelling an upset in the
@@ -160,25 +180,40 @@ impl HistoryBuffer {
     /// Every `u64` is a structurally valid address, so the buffer's only
     /// invariant — length ≤ `spec.length` — is untouched.
     pub fn corrupt_bit(&mut self, slot: usize, bit: u32) -> bool {
-        if self.addrs.is_empty() {
+        if self.len == 0 {
             return false;
         }
-        let slot = slot % self.addrs.len();
-        if let Some(a) = self.addrs.get_mut(slot) {
-            *a ^= 1u64 << (bit % 64);
-        }
+        let slot = Self::CAPACITY - self.len + slot % self.len;
+        self.addrs[slot] ^= 1u64 << (bit % 64);
         true
     }
 
     /// Clears the history (used when repairing speculative state).
     pub fn clear(&mut self) {
-        self.addrs.clear();
+        self.len = 0;
     }
 
     /// Copies another history's contents into this one (state repair).
     pub fn copy_from(&mut self, other: &HistoryBuffer) {
-        self.addrs.clear();
-        self.addrs.extend(other.addrs.iter().copied());
+        self.clone_from(other);
+    }
+}
+
+/// Two histories are equal when they record the same addresses; slots
+/// outside the recorded window are not state.
+impl PartialEq for HistoryBuffer {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for HistoryBuffer {}
+
+impl std::fmt::Debug for HistoryBuffer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HistoryBuffer")
+            .field("addrs", &self.as_slice())
+            .finish()
     }
 }
 
@@ -199,10 +234,12 @@ impl Restorable for HistorySpec {
         let shift = r.take_u32("history shift")?;
         let index_bits = r.take_u32("history index bits")?;
         let tag_bits = r.take_u32("history tag bits")?;
-        // Mirror HistorySpec::validate without its panics, plus a sanity
-        // ceiling on length so hostile specs can't demand huge buffers.
-        if length == 0 || length > 1 << 16 {
-            return Err(r.bad_value(format!("history length {length} outside 1..=65536")));
+        // Mirror HistorySpec::validate without its panics.
+        if length == 0 || length > HistoryBuffer::CAPACITY as u64 {
+            return Err(r.bad_value(format!(
+                "history length {length} outside 1..={}",
+                HistoryBuffer::CAPACITY
+            )));
         }
         if shift == 0 || shift > 63 {
             return Err(r.bad_value(format!("history shift {shift} outside 1..=63")));
@@ -224,8 +261,8 @@ impl Restorable for HistorySpec {
 
 impl Snapshot for HistoryBuffer {
     fn write_state(&self, w: &mut SectionWriter) {
-        w.put_len(self.addrs.len());
-        for &a in &self.addrs {
+        w.put_len(self.len);
+        for &a in self.as_slice() {
             w.put_u64(a);
         }
     }
@@ -234,11 +271,18 @@ impl Snapshot for HistoryBuffer {
 impl Restorable for HistoryBuffer {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         let len = r.take_len(8, "history address count")?;
-        let mut addrs = VecDeque::with_capacity(len);
-        for _ in 0..len {
-            addrs.push_back(r.take_u64("history address")?);
+        if len > Self::CAPACITY {
+            return Err(r.bad_value(format!(
+                "history of {len} addresses above capacity {}",
+                Self::CAPACITY
+            )));
         }
-        Ok(Self { addrs })
+        let mut history = Self::new();
+        for slot in &mut history.addrs[Self::CAPACITY - len..] {
+            *slot = r.take_u64("history address")?;
+        }
+        history.len = len;
+        Ok(history)
     }
 }
 
@@ -371,5 +415,96 @@ mod tests {
             ..spec(1)
         }
         .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 12")]
+    fn length_above_capacity_rejected() {
+        spec(HistoryBuffer::CAPACITY + 1).validate();
+    }
+
+    #[test]
+    fn capacity_length_keeps_twelve_addresses() {
+        let s = spec(HistoryBuffer::CAPACITY);
+        s.validate();
+        let mut h = HistoryBuffer::new();
+        for a in 0..20u64 {
+            h.push(a << 4, &s);
+        }
+        let want: Vec<u64> = (8..20u64).map(|a| a << 4).collect();
+        assert_eq!(h.as_slice(), want.as_slice(), "the newest 12, oldest first");
+    }
+
+    #[test]
+    fn push_under_a_shorter_spec_trims_to_its_length() {
+        // A restored history may be longer than the spec it is pushed
+        // with; the push keeps only the spec's newest addresses.
+        let mut h = HistoryBuffer::new();
+        for a in 0..12u64 {
+            h.push(a << 4, &spec(12));
+        }
+        h.push(0x999 << 4, &spec(3));
+        assert_eq!(h.as_slice(), &[10 << 4, 11 << 4, 0x999 << 4]);
+    }
+
+    #[test]
+    fn corrupt_bit_counts_slots_from_the_oldest() {
+        let s = spec(3);
+        let mut h = HistoryBuffer::new();
+        for a in [0x100u64, 0x200, 0x300] {
+            h.push(a, &s);
+        }
+        assert!(h.corrupt_bit(3, 4), "slot 3 wraps to slot 0");
+        assert_eq!(h.as_slice(), &[0x110, 0x200, 0x300]);
+        h.clear();
+        assert!(!h.corrupt_bit(0, 0), "an empty history has nothing to flip");
+    }
+
+    #[test]
+    fn equality_ignores_slots_outside_the_window() {
+        let s = spec(2);
+        let mut a = HistoryBuffer::new();
+        for x in [0xAAA0u64, 0x100, 0x200] {
+            a.push(x, &s);
+        }
+        let mut b = HistoryBuffer::new();
+        for x in [0x100u64, 0x200] {
+            b.push(x, &s);
+        }
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn archives_longer_than_capacity_are_bad_values() {
+        let bad_value = |e: SnapshotError| matches!(e, SnapshotError::BadValue { .. });
+
+        let mut w = SectionWriter::new();
+        spec(12).write_state(&mut w);
+        assert_eq!(HistorySpec::from_payload(&w.into_bytes(), "spec"), Ok(spec(12)));
+        let mut w = SectionWriter::new();
+        spec(13).write_state(&mut w);
+        let err = HistorySpec::from_payload(&w.into_bytes(), "spec").unwrap_err();
+        assert!(bad_value(err), "history length 13 must be a bad value");
+
+        let mut w = SectionWriter::new();
+        w.put_len(13);
+        for a in 0..13u64 {
+            w.put_u64(a << 4);
+        }
+        let err = HistoryBuffer::from_payload(&w.into_bytes(), "history").unwrap_err();
+        assert!(bad_value(err), "13 recorded addresses must be a bad value");
+    }
+
+    #[test]
+    fn restore_reproduces_the_recorded_window() {
+        let s = spec(5);
+        let mut h = HistoryBuffer::new();
+        for a in [0x10u64, 0x20, 0x30] {
+            h.push(a, &s);
+        }
+        let restored = HistoryBuffer::from_payload(&h.to_payload(), "history").unwrap();
+        assert_eq!(restored, h);
+        assert_eq!(restored.fold(&s), h.fold(&s));
+        assert_eq!(restored.to_payload(), h.to_payload());
     }
 }

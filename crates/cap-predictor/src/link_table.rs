@@ -15,6 +15,10 @@
 //!   update is seen twice in a row, filtering irregular loads and adding
 //!   hysteresis (§3.5). The PF field can also live in a larger decoupled
 //!   direct-mapped table (\[Mora98\]), enabled by [`PfMode::Decoupled`].
+//!
+//! Like the hardware table, the LT is one contiguous array of ways in
+//! set-major order: way `w` of set `s` lives at index `s · assoc + w`.
+//! The set mask is computed once, when the table is built or restored.
 
 use crate::history::FoldedHistory;
 
@@ -60,6 +64,14 @@ impl LinkTableConfig {
     #[must_use]
     pub fn sets(&self) -> usize {
         self.entries / self.assoc
+    }
+
+    /// Slots of the decoupled PF table (0 unless [`PfMode::Decoupled`]).
+    fn decoupled_len(&self) -> usize {
+        match self.pf_mode {
+            PfMode::Decoupled { extra_index_bits } => self.sets() << extra_index_bits,
+            _ => 0,
+        }
     }
 
     fn validate(&self) {
@@ -123,7 +135,10 @@ impl LtWrite {
 #[derive(Debug, Clone)]
 pub struct LinkTable {
     config: LinkTableConfig,
-    sets: Vec<Vec<Option<LtEntry>>>,
+    /// Every way of every set, set-major.
+    ways: Vec<Option<LtEntry>>,
+    /// `sets - 1`: selects a set from the folded index.
+    set_mask: usize,
     decoupled_pf: Vec<(u8, bool)>,
     tick: u64,
 }
@@ -142,13 +157,10 @@ impl LinkTable {
     #[must_use]
     pub fn new(config: LinkTableConfig) -> Self {
         config.validate();
-        let decoupled_len = match config.pf_mode {
-            PfMode::Decoupled { extra_index_bits } => config.sets() << extra_index_bits,
-            _ => 0,
-        };
         Self {
-            sets: vec![vec![None; config.assoc]; config.sets()],
-            decoupled_pf: vec![(0, false); decoupled_len],
+            ways: vec![None; config.entries],
+            set_mask: config.sets() - 1,
+            decoupled_pf: vec![(0, false); config.decoupled_len()],
             config,
             tick: 0,
         }
@@ -161,15 +173,21 @@ impl LinkTable {
     }
 
     fn set_index(&self, folded: &FoldedHistory) -> usize {
-        (folded.index as usize) & (self.config.sets() - 1)
+        (folded.index as usize) & self.set_mask
+    }
+
+    /// The ways of set `set`, as a range of `ways`.
+    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
+        let first = set * self.config.assoc;
+        first..first + self.config.assoc
     }
 
     /// Looks up the link for a folded history. Returns the linked (base)
     /// address only on a tag match.
     #[must_use]
     pub fn lookup(&self, folded: &FoldedHistory) -> Option<u64> {
-        let set = &self.sets[self.set_index(folded)];
-        set.iter()
+        self.ways[self.set_range(self.set_index(folded))]
+            .iter()
             .flatten()
             .find(|e| e.tag == folded.tag)
             .map(|e| e.link)
@@ -186,16 +204,20 @@ impl LinkTable {
     /// telemetry surface behind the `cap.lt.*` counters.
     pub fn update_outcome(&mut self, folded: &FoldedHistory, base: u64) -> LtWrite {
         self.tick += 1;
+        let tick = self.tick;
         let new_pf = pf_bits(base);
+        let set_idx = self.set_index(folded);
+        let range = self.set_range(set_idx);
+        let set = &mut self.ways[range];
+        // The matching way, else the way we would replace. PF filtering
+        // below only refreshes PF bits (or fills the way and returns), so
+        // an admitted write lands in this same way.
+        let way = Self::way_for(set, folded.tag);
         let admit = match self.config.pf_mode {
             PfMode::Off => true,
             PfMode::Inline => {
                 // Inline PF: consult/refresh the PF bits of the entry this
                 // update maps to (the victim entry if none matches).
-                let set_idx = self.set_index(folded);
-                let set = &mut self.sets[set_idx];
-                // Find the matching way, else the way we would replace.
-                let way = Self::way_for(set, folded.tag);
                 match &mut set[way] {
                     Some(e) => {
                         let admit = e.pf_primed && e.pf == new_pf;
@@ -212,7 +234,7 @@ impl LinkTable {
                             link: base,
                             pf: new_pf,
                             pf_primed: true,
-                            lru: self.tick,
+                            lru: tick,
                         });
                         // Allocating an empty entry is not pollution — the
                         // link is live immediately.
@@ -227,8 +249,7 @@ impl LinkTable {
                 // aliasing unrelated contexts. Xoring the whole tag into the
                 // shifted index (the previous scheme) folded distinct
                 // contexts onto one PF slot.
-                let idx = (self.set_index(folded)
-                    | ((folded.tag as usize) << self.config.sets().trailing_zeros()))
+                let idx = (set_idx | ((folded.tag as usize) << self.set_mask.count_ones()))
                     & (self.decoupled_pf.len() - 1);
                 let slot = &mut self.decoupled_pf[idx];
                 let admit = slot.1 && slot.0 == new_pf;
@@ -239,10 +260,6 @@ impl LinkTable {
         if !admit {
             return LtWrite::Deferred;
         }
-        let tick = self.tick;
-        let set_idx = self.set_index(folded);
-        let set = &mut self.sets[set_idx];
-        let way = Self::way_for(set, folded.tag);
         let (pf_state, outcome) = match set[way] {
             Some(e) if e.tag == folded.tag && e.link == base => {
                 ((e.pf, e.pf_primed), LtWrite::Refresh)
@@ -286,12 +303,12 @@ impl LinkTable {
     /// Number of live entries (diagnostics).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().flatten().count()
+        self.ways.iter().flatten().count()
     }
 
     /// Iterates over live entries (diagnostics, invariant checking).
     pub fn entries(&self) -> impl Iterator<Item = &LtEntry> {
-        self.sets.iter().flatten().flatten()
+        self.ways.iter().flatten()
     }
 
     /// Mutably iterates over live entries — the fault-injection surface for
@@ -299,7 +316,7 @@ impl LinkTable {
     /// arbitrary field edits: a corrupted tag behaves like a miss/alias and
     /// corrupted PF bits only change admit decisions.
     pub fn entries_mut(&mut self) -> impl Iterator<Item = &mut LtEntry> {
-        self.sets.iter_mut().flatten().flatten()
+        self.ways.iter_mut().flatten()
     }
 
     /// Mutable view of the decoupled PF table (empty unless
@@ -405,15 +422,13 @@ impl Snapshot for LinkTable {
     fn write_state(&self, w: &mut SectionWriter) {
         self.config.write_state(w);
         w.put_u64(self.tick);
-        for set in &self.sets {
-            for way in set {
-                match way {
-                    Some(entry) => {
-                        w.put_bool(true);
-                        entry.write_state(w);
-                    }
-                    None => w.put_bool(false),
+        for way in &self.ways {
+            match way {
+                Some(entry) => {
+                    w.put_bool(true);
+                    entry.write_state(w);
                 }
+                None => w.put_bool(false),
             }
         }
         for &(pf, primed) in &self.decoupled_pf {
@@ -427,31 +442,28 @@ impl Restorable for LinkTable {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         let config = LinkTableConfig::read_state(r)?;
         let tick = r.take_u64("lt tick")?;
-        let mut sets = Vec::with_capacity(config.sets());
-        for _ in 0..config.sets() {
-            let mut set = Vec::with_capacity(config.assoc);
-            for _ in 0..config.assoc {
-                set.push(if r.take_bool("lt way presence")? {
-                    Some(LtEntry::read_state(r)?)
-                } else {
-                    None
-                });
-            }
-            sets.push(set);
+        // Every way takes at least its presence byte, and every PF slot
+        // two bytes, so the remaining bytes bound what a hostile config
+        // can make us reserve.
+        let mut ways = Vec::with_capacity(config.entries.min(r.remaining()));
+        for _ in 0..config.entries {
+            ways.push(if r.take_bool("lt way presence")? {
+                Some(LtEntry::read_state(r)?)
+            } else {
+                None
+            });
         }
-        let decoupled_len = match config.pf_mode {
-            PfMode::Decoupled { extra_index_bits } => config.sets() << extra_index_bits,
-            _ => 0,
-        };
-        let mut decoupled_pf = Vec::with_capacity(decoupled_len);
+        let decoupled_len = config.decoupled_len();
+        let mut decoupled_pf = Vec::with_capacity(decoupled_len.min(r.remaining() / 2));
         for _ in 0..decoupled_len {
             let pf = r.take_u8("decoupled pf bits")?;
             let primed = r.take_bool("decoupled pf primed")?;
             decoupled_pf.push((pf, primed));
         }
         Ok(Self {
+            set_mask: config.sets() - 1,
             config,
-            sets,
+            ways,
             decoupled_pf,
             tick,
         })
@@ -618,6 +630,37 @@ mod tests {
         // PF bits differ: first change attempt is deferred.
         assert_eq!(lt.update_outcome(&folded(1, 0), 0xB4), LtWrite::Deferred);
         assert_eq!(lt.update_outcome(&folded(1, 0), 0xB4), LtWrite::Retrain);
+    }
+
+    #[test]
+    fn ways_are_stored_set_major() {
+        let mut lt = LinkTable::new(LinkTableConfig {
+            entries: 8,
+            assoc: 2,
+            pf_mode: PfMode::Off,
+        });
+        lt.update(&folded(1, 0xA), 0x10);
+        lt.update(&folded(0, 0xB), 0x20);
+        lt.update(&folded(1, 0xC), 0x30);
+        let links: Vec<u64> = lt.entries().map(|e| e.link).collect();
+        assert_eq!(links, vec![0x20, 0x10, 0x30], "set 0 first, then set 1's two ways");
+    }
+
+    #[test]
+    fn restore_rejects_truncated_way_arrays_without_huge_reservations() {
+        // A hostile archive may claim 2^24 entries and then stop.
+        let mut w = SectionWriter::new();
+        LinkTableConfig {
+            entries: 1 << 24,
+            assoc: 1,
+            pf_mode: PfMode::Decoupled {
+                extra_index_bits: 2,
+            },
+        }
+        .write_state(&mut w);
+        w.put_u64(0);
+        w.put_bool(false);
+        assert!(LinkTable::from_payload(&w.into_bytes(), "lt").is_err());
     }
 
     #[test]

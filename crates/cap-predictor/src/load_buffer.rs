@@ -6,6 +6,12 @@
 //! fields (offset LSBs, address history, CAP confidence), the enhanced
 //! stride fields (last address, stride, state, interval), and the hybrid
 //! selector counter, exactly as Figure 4 draws it.
+//!
+//! Like the hardware table, the LB is one contiguous array of ways in
+//! set-major order: way `w` of set `s` lives at index `s · assoc + w`.
+//! The set mask is computed once, when the table is built or restored,
+//! and every entry keeps its histories inline, so a lookup, an
+//! allocation or an eviction never touches the heap.
 
 use crate::confidence::{ControlFlowIndication, SaturatingCounter};
 use crate::history::HistoryBuffer;
@@ -171,7 +177,10 @@ impl LoadBufferConfig {
 pub struct LoadBuffer {
     config: LoadBufferConfig,
     proto: LbEntryProto,
-    sets: Vec<Vec<Option<LbEntry>>>,
+    /// Every way of every set, set-major.
+    ways: Vec<Option<LbEntry>>,
+    /// `sets - 1`: selects a set from the shifted IP.
+    set_mask: usize,
     tick: u64,
 }
 
@@ -185,7 +194,8 @@ impl LoadBuffer {
     pub fn new(config: LoadBufferConfig, proto: LbEntryProto) -> Self {
         config.validate();
         Self {
-            sets: vec![vec![None; config.assoc]; config.sets()],
+            ways: vec![None; config.entries],
+            set_mask: config.sets() - 1,
             config,
             proto,
             tick: 0,
@@ -198,9 +208,11 @@ impl LoadBuffer {
         &self.config
     }
 
-    fn set_index(&self, ip: u64) -> usize {
+    /// The ways of the set `ip` maps to, as a range of `ways`.
+    fn set_range(&self, ip: u64) -> std::ops::Range<usize> {
         // Drop the 2 alignment bits of the IP before indexing.
-        ((ip >> 2) as usize) & (self.config.sets() - 1)
+        let first = (((ip >> 2) as usize) & self.set_mask) * self.config.assoc;
+        first..first + self.config.assoc
     }
 
     /// Looks up the entry for `ip` without allocating; refreshes LRU on hit.
@@ -209,11 +221,8 @@ impl LoadBuffer {
     /// touching it, so diagnostic probes of absent IPs (or a storm of them)
     /// cannot age unrelated entries and perturb eviction order.
     pub fn lookup(&mut self, ip: u64) -> Option<&mut LbEntry> {
-        let set_idx = self.set_index(ip);
-        let entry = self.sets[set_idx]
-            .iter_mut()
-            .flatten()
-            .find(|e| e.tag == ip)?;
+        let set = self.set_range(ip);
+        let entry = self.ways[set].iter_mut().flatten().find(|e| e.tag == ip)?;
         self.tick += 1;
         entry.lru = self.tick;
         Some(entry)
@@ -224,7 +233,7 @@ impl LoadBuffer {
     /// (e.g. [`crate::cap::CapPredictor::predict_ahead`]).
     #[must_use]
     pub fn peek(&self, ip: u64) -> Option<&LbEntry> {
-        self.sets[self.set_index(ip)]
+        self.ways[self.set_range(ip)]
             .iter()
             .flatten()
             .find(|e| e.tag == ip)
@@ -235,13 +244,16 @@ impl LoadBuffer {
     pub fn lookup_or_insert(&mut self, ip: u64) -> (&mut LbEntry, bool) {
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.set_index(ip);
-        let set = &mut self.sets[set_idx];
+        let range = self.set_range(ip);
+        let set = &mut self.ways[range];
         let hit_way = set
             .iter()
             .position(|e| e.as_ref().is_some_and(|e| e.tag == ip));
-        let (way, fresh) = match hit_way {
-            Some(way) => (way, false),
+        let (entry, fresh) = match hit_way {
+            Some(way) => (
+                set[way].get_or_insert_with(|| LbEntry::new(ip, &self.proto, tick)),
+                false,
+            ),
             None => {
                 // Prefer an empty way, else evict the LRU one. `fold`
                 // defaults to way 0, so a (config-impossible) empty set
@@ -255,11 +267,10 @@ impl LoadBuffer {
                         })
                         .0
                 });
-                set[way] = None;
-                (way, true)
+                // The new entry overwrites the victim in place.
+                (set[way].insert(LbEntry::new(ip, &self.proto, tick)), true)
             }
         };
-        let entry = set[way].get_or_insert_with(|| LbEntry::new(ip, &self.proto, tick));
         entry.lru = tick;
         (entry, fresh)
     }
@@ -267,12 +278,12 @@ impl LoadBuffer {
     /// Number of live entries (diagnostics).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().flatten().count()
+        self.ways.iter().flatten().count()
     }
 
     /// Iterates over live entries (diagnostics, invariant checking).
     pub fn entries(&self) -> impl Iterator<Item = &LbEntry> {
-        self.sets.iter().flatten().flatten()
+        self.ways.iter().flatten()
     }
 
     /// Mutably iterates over live entries. This is the fault-injection
@@ -281,7 +292,7 @@ impl LoadBuffer {
     /// set geometry is untouched and lookups tolerate stale tags (a
     /// corrupted tag simply behaves like an evicted/aliased entry).
     pub fn entries_mut(&mut self) -> impl Iterator<Item = &mut LbEntry> {
-        self.sets.iter_mut().flatten().flatten()
+        self.ways.iter_mut().flatten()
     }
 }
 
@@ -402,15 +413,13 @@ impl Snapshot for LoadBuffer {
         self.proto.cap_conf.write_state(w);
         self.proto.stride_conf.write_state(w);
         w.put_u64(self.tick);
-        for set in &self.sets {
-            for way in set {
-                match way {
-                    Some(entry) => {
-                        w.put_bool(true);
-                        entry.write_state(w);
-                    }
-                    None => w.put_bool(false),
+        for way in &self.ways {
+            match way {
+                Some(entry) => {
+                    w.put_bool(true);
+                    entry.write_state(w);
                 }
+                None => w.put_bool(false),
             }
         }
     }
@@ -424,22 +433,21 @@ impl Restorable for LoadBuffer {
             stride_conf: SaturatingCounter::read_state(r)?,
         };
         let tick = r.take_u64("lb tick")?;
-        let mut sets = Vec::with_capacity(config.sets());
-        for _ in 0..config.sets() {
-            let mut set = Vec::with_capacity(config.assoc);
-            for _ in 0..config.assoc {
-                set.push(if r.take_bool("lb way presence")? {
-                    Some(LbEntry::read_state(r)?)
-                } else {
-                    None
-                });
-            }
-            sets.push(set);
+        // Every way takes at least its presence byte, so the remaining
+        // bytes bound what a hostile entry count can make us reserve.
+        let mut ways = Vec::with_capacity(config.entries.min(r.remaining()));
+        for _ in 0..config.entries {
+            ways.push(if r.take_bool("lb way presence")? {
+                Some(LbEntry::read_state(r)?)
+            } else {
+                None
+            });
         }
         Ok(Self {
+            set_mask: config.sets() - 1,
             config,
             proto,
-            sets,
+            ways,
             tick,
         })
     }
@@ -580,6 +588,51 @@ mod tests {
         }
         assert!(!iv.exhausted(2));
         assert!(iv.exhausted(3), "5 done + 3 pending = 8 = interval");
+    }
+
+    #[test]
+    fn eviction_overwrites_every_field_of_the_victim() {
+        let mut b = lb(1, 1); // 1 set, 1 way
+        let (e, _) = b.lookup_or_insert(0x100);
+        e.selector = 0;
+        e.stride_seen = true;
+        e.interval.run = 7;
+        let (e, fresh) = b.lookup_or_insert(0x200);
+        assert!(fresh);
+        assert_eq!(e.tag, 0x200);
+        assert_eq!(e.selector, 2);
+        assert!(!e.stride_seen);
+        assert_eq!(e.interval, IntervalCounter::default());
+        assert!(e.history.is_empty() && e.spec_history.is_empty());
+        assert_eq!(b.occupancy(), 1);
+    }
+
+    #[test]
+    fn ways_are_stored_set_major() {
+        let mut b = lb(8, 2); // 4 sets
+        // Set 1 (ip >> 2 == 1), then set 0: the set-major walk still
+        // lists set 0 first.
+        b.lookup_or_insert(1 << 2);
+        b.lookup_or_insert(0);
+        b.lookup_or_insert(5 << 2); // set 1, second way
+        let tags: Vec<u64> = b.entries().map(|e| e.tag).collect();
+        assert_eq!(tags, vec![0, 1 << 2, 5 << 2]);
+    }
+
+    #[test]
+    fn restore_rejects_truncated_way_arrays_without_huge_reservations() {
+        // A hostile archive may claim 2^24 entries and then stop.
+        let mut w = SectionWriter::new();
+        LoadBufferConfig {
+            entries: 1 << 24,
+            assoc: 2,
+        }
+        .write_state(&mut w);
+        proto().cap_conf.write_state(&mut w);
+        proto().stride_conf.write_state(&mut w);
+        w.put_u64(0);
+        w.put_bool(false);
+        assert!(LoadBuffer::from_payload(&w.into_bytes(), "lb").is_err());
     }
 
     #[test]
