@@ -84,9 +84,10 @@ impl SaturatingCounter {
     /// Overwrites the stored value with `raw`, modelling a bit upset in the
     /// physical counter. The counter is a `max+1`-state device, so the raw
     /// value wraps into `0..=max` — the structural invariant
-    /// `value() <= max` holds even under injected faults.
+    /// `value() <= max` holds even under injected faults. At `max == 255`
+    /// every `u8` is a state, so `raw` is kept as it is.
     pub fn corrupt_value(&mut self, raw: u8) {
-        self.value = raw % (self.max + 1);
+        self.value = self.max.checked_add(1).map_or(raw, |states| raw % states);
     }
 
     /// True when the counter authorises a speculative access.
@@ -97,7 +98,7 @@ impl SaturatingCounter {
 
     /// Records a correct prediction.
     pub fn on_correct(&mut self) {
-        self.value = (self.value + 1).min(self.max);
+        self.value = self.value.saturating_add(1).min(self.max);
     }
 
     /// Records a misprediction.
@@ -376,6 +377,29 @@ mod tests {
         c.on_correct(); // value 2 < max 3
         c.on_incorrect();
         assert_eq!(c.value(), 0);
+    }
+
+    #[test]
+    fn full_width_counter_stays_saturated() {
+        // `max == 255` is accepted by `new` and by every restore; the
+        // increment used to overflow and wrap a saturated counter to 0.
+        let mut c = SaturatingCounter::new(2, u8::MAX, false);
+        for _ in 0..256 {
+            c.on_correct();
+        }
+        assert_eq!(c.value(), u8::MAX);
+        assert!(c.is_confident());
+    }
+
+    #[test]
+    fn corrupt_value_stays_at_or_below_max() {
+        for max in [1u8, 3, 127, 254, u8::MAX] {
+            let mut c = SaturatingCounter::new(1, max, false);
+            for raw in 0..=u8::MAX {
+                c.corrupt_value(raw);
+                assert!(c.value() <= max, "raw {raw} under max {max} gave {}", c.value());
+            }
+        }
     }
 
     #[test]

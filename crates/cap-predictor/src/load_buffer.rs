@@ -60,9 +60,10 @@ impl IntervalCounter {
 
     /// True when speculation should be withheld because the current run
     /// (plus any in-flight predictions) has reached the learned interval.
+    /// `run` saturates at `u32::MAX`, so the sum saturates too.
     #[must_use]
     pub fn exhausted(&self, pending: u32) -> bool {
-        self.learned > 0 && self.run + pending >= self.learned
+        self.learned > 0 && self.run.saturating_add(pending) >= self.learned
     }
 }
 
@@ -588,6 +589,19 @@ mod tests {
         }
         assert!(!iv.exhausted(2));
         assert!(iv.exhausted(3), "5 done + 3 pending = 8 = interval");
+    }
+
+    #[test]
+    fn saturated_run_stays_exhausted_with_pending_predictions() {
+        // `run` saturates at u32::MAX; adding in-flight predictions used
+        // to overflow (a wrap to "not exhausted" in release).
+        let iv = IntervalCounter {
+            learned: 5,
+            run: u32::MAX,
+        };
+        for pending in [0, 1, 8, u32::MAX] {
+            assert!(iv.exhausted(pending), "pending {pending}");
+        }
     }
 
     #[test]

@@ -11,11 +11,13 @@
 use cap_predictor::cap::{CapConfig, CapPredictor};
 use cap_predictor::drive::ControlState;
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
-use cap_predictor::load_buffer::LoadBufferConfig;
+use cap_predictor::drive::Session;
+use cap_predictor::load_buffer::{IntervalCounter, LoadBufferConfig};
 use cap_predictor::metrics::PredictorStats;
 use cap_predictor::stride::{StrideParams, StridePredictor};
 use cap_predictor::types::{AddressPredictor, LoadContext};
 use cap_snapshot::{Restorable, Snapshot, SnapshotArchive, SnapshotBuilder};
+use cap_trace::builder::TraceBuilder;
 use cap_trace::{Trace, TraceEvent};
 
 fn trace() -> Trace {
@@ -179,4 +181,39 @@ fn stats_roundtrip_preserves_every_counter() {
     };
     let restored = PredictorStats::from_payload(&s.to_payload(), "stats").unwrap();
     assert_eq!(restored, s);
+}
+
+/// One load IP walking a stride-8 array from element `from` to `to`.
+fn stride_walk(from: u64, to: u64) -> Trace {
+    let mut b = TraceBuilder::new();
+    for i in from..to {
+        b.load(0x40, 0x1000 + i * 8, 0);
+    }
+    b.finish()
+}
+
+#[test]
+fn restored_saturated_interval_run_stays_exhausted_under_a_gap() {
+    // `IntervalCounter::read_state` accepts any run, and `run` saturates
+    // at u32::MAX by design. Adding the in-flight count to it used to
+    // overflow: a panic in debug builds, and in release a wrap that let
+    // the load speculate past its learned interval.
+    let mut p = small_stride();
+    let warm = Session::new(&mut p).run(&stride_walk(0, 400));
+    assert!(warm.spec_accesses > 0, "the stride must be confident before the edit");
+    for entry in p.load_buffer_mut().entries_mut() {
+        entry.interval = IntervalCounter {
+            learned: 5,
+            run: u32::MAX,
+        };
+    }
+    let mut restored =
+        StridePredictor::from_payload(&p.to_payload(), "predictor").expect("payload restores");
+    let rest = stride_walk(400, 800);
+    let stats = Session::new(&mut restored).gap(8).run(&rest);
+    assert_eq!(stats.loads as usize, rest.load_count());
+    assert_eq!(
+        stats.spec_accesses, 0,
+        "a run past its learned interval must withhold speculation"
+    );
 }
