@@ -397,7 +397,11 @@ mod tests {
             let mut c = SaturatingCounter::new(1, max, false);
             for raw in 0..=u8::MAX {
                 c.corrupt_value(raw);
-                assert!(c.value() <= max, "raw {raw} under max {max} gave {}", c.value());
+                assert!(
+                    c.value() <= max,
+                    "raw {raw} under max {max} gave {}",
+                    c.value()
+                );
             }
         }
     }

@@ -480,7 +480,10 @@ mod tests {
 
         let mut w = SectionWriter::new();
         spec(12).write_state(&mut w);
-        assert_eq!(HistorySpec::from_payload(&w.into_bytes(), "spec"), Ok(spec(12)));
+        assert_eq!(
+            HistorySpec::from_payload(&w.into_bytes(), "spec"),
+            Ok(spec(12))
+        );
         let mut w = SectionWriter::new();
         spec(13).write_state(&mut w);
         let err = HistorySpec::from_payload(&w.into_bytes(), "spec").unwrap_err();
@@ -493,18 +496,5 @@ mod tests {
         }
         let err = HistoryBuffer::from_payload(&w.into_bytes(), "history").unwrap_err();
         assert!(bad_value(err), "13 recorded addresses must be a bad value");
-    }
-
-    #[test]
-    fn restore_reproduces_the_recorded_window() {
-        let s = spec(5);
-        let mut h = HistoryBuffer::new();
-        for a in [0x10u64, 0x20, 0x30] {
-            h.push(a, &s);
-        }
-        let restored = HistoryBuffer::from_payload(&h.to_payload(), "history").unwrap();
-        assert_eq!(restored, h);
-        assert_eq!(restored.fold(&s), h.fold(&s));
-        assert_eq!(restored.to_payload(), h.to_payload());
     }
 }

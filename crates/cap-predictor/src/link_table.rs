@@ -643,11 +643,15 @@ mod tests {
         lt.update(&folded(0, 0xB), 0x20);
         lt.update(&folded(1, 0xC), 0x30);
         let links: Vec<u64> = lt.entries().map(|e| e.link).collect();
-        assert_eq!(links, vec![0x20, 0x10, 0x30], "set 0 first, then set 1's two ways");
+        assert_eq!(
+            links,
+            vec![0x20, 0x10, 0x30],
+            "set 0 first, then set 1's two ways"
+        );
     }
 
     #[test]
-    fn restore_rejects_truncated_way_arrays_without_huge_reservations() {
+    fn restore_of_a_truncated_way_array_fails() {
         // A hostile archive may claim 2^24 entries and then stop.
         let mut w = SectionWriter::new();
         LinkTableConfig {

@@ -10,8 +10,8 @@
 //! Like the hardware table, the LB is one contiguous array of ways in
 //! set-major order: way `w` of set `s` lives at index `s · assoc + w`.
 //! The set mask is computed once, when the table is built or restored,
-//! and every entry keeps its histories inline, so a lookup, an
-//! allocation or an eviction never touches the heap.
+//! and every entry keeps its histories inline, so a lookup, a fill or an
+//! eviction never touches the heap.
 
 use crate::confidence::{ControlFlowIndication, SaturatingCounter};
 use crate::history::HistoryBuffer;
@@ -623,9 +623,9 @@ mod tests {
 
     #[test]
     fn ways_are_stored_set_major() {
-        let mut b = lb(8, 2); // 4 sets
-        // Set 1 (ip >> 2 == 1), then set 0: the set-major walk still
-        // lists set 0 first.
+        // 4 sets. Fill set 1 (ip >> 2 == 1), then set 0: the set-major
+        // walk still lists set 0 first.
+        let mut b = lb(8, 2);
         b.lookup_or_insert(1 << 2);
         b.lookup_or_insert(0);
         b.lookup_or_insert(5 << 2); // set 1, second way
@@ -634,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_truncated_way_arrays_without_huge_reservations() {
+    fn restore_of_a_truncated_way_array_fails() {
         // A hostile archive may claim 2^24 entries and then stop.
         let mut w = SectionWriter::new();
         LoadBufferConfig {

@@ -129,8 +129,7 @@ fn render() -> String {
 #[test]
 fn predictor_archives_are_golden() {
     let actual = render();
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_digests.txt");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_digests.txt");
     if std::env::var_os("CAP_UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
         std::fs::write(&path, &actual).expect("write golden");

@@ -10,8 +10,8 @@
 
 use cap_predictor::cap::{CapConfig, CapPredictor};
 use cap_predictor::drive::ControlState;
-use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
 use cap_predictor::drive::Session;
+use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
 use cap_predictor::load_buffer::{IntervalCounter, LoadBufferConfig};
 use cap_predictor::metrics::PredictorStats;
 use cap_predictor::stride::{StrideParams, StridePredictor};
@@ -200,7 +200,10 @@ fn restored_saturated_interval_run_stays_exhausted_under_a_gap() {
     // the load speculate past its learned interval.
     let mut p = small_stride();
     let warm = Session::new(&mut p).run(&stride_walk(0, 400));
-    assert!(warm.spec_accesses > 0, "the stride must be confident before the edit");
+    assert!(
+        warm.spec_accesses > 0,
+        "the stride must be confident before the edit"
+    );
     for entry in p.load_buffer_mut().entries_mut() {
         entry.interval = IntervalCounter {
             learned: 5,

@@ -49,8 +49,8 @@ fn pin_line(name: &str, trace: &cap_trace::Trace) -> String {
 #[test]
 fn figure_sweep_matches_the_seed0_pins() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("perfbench/pins/figures_seed0.txt");
-    let pins = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let pins =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let pinned: Vec<&str> = pins
         .lines()
         .map(str::trim)
