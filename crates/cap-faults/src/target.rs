@@ -16,9 +16,6 @@ use cap_predictor::link_table::LinkTable;
 use cap_predictor::load_buffer::{LbEntry, LoadBuffer, StrideState};
 use cap_predictor::stride::StridePredictor;
 use cap_rand::{rngs::StdRng, Rng};
-use cap_uarch::cache_level::{CacheLevelPredictor, LEVEL_MEMORY};
-use cap_uarch::ldbp::LdbpPredictor;
-use cap_uarch::pcax::PcaxPredictor;
 
 /// A structure live predictor faults can be injected into.
 pub trait FaultTarget {
@@ -355,122 +352,6 @@ impl FaultTarget for StridePredictor {
     }
 }
 
-impl FaultTarget for CacheLevelPredictor {
-    fn target_name(&self) -> &'static str {
-        "cache-level"
-    }
-
-    fn supported_faults(&self) -> &'static [FaultKind] {
-        &STRIDE_LB_KINDS
-    }
-
-    fn inject_fault(&mut self, kind: FaultKind, rng: &mut StdRng) -> bool {
-        if !STRIDE_LB_KINDS.contains(&kind) {
-            return false;
-        }
-        // Addresses come from the inner stride component; the level
-        // table is 2-bit-saturating side state with no width to corrupt
-        // beyond what LbConfidence already exercises.
-        inject_lb(self.load_buffer_mut(), kind, 0, rng)
-    }
-
-    fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        check_lb_entries(self.load_buffer().entries(), "cache-level/load-buffer", None, None)?;
-        for (i, &e) in self.level_table().iter().enumerate() {
-            if e >> 4 != 0 || (e & 0b11) > LEVEL_MEMORY {
-                return Err(InvariantViolation {
-                    target: "cache-level",
-                    detail: format!("level table entry {i} out of width: {e:#04x}"),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-impl FaultTarget for LdbpPredictor {
-    fn target_name(&self) -> &'static str {
-        "ldbp"
-    }
-
-    fn supported_faults(&self) -> &'static [FaultKind] {
-        &FULL_KINDS
-    }
-
-    fn inject_fault(&mut self, kind: FaultKind, rng: &mut StdRng) -> bool {
-        let hybrid = self.hybrid_mut();
-        let params = *hybrid.cap_component().params();
-        if LT_KINDS.contains(&kind) {
-            inject_lt(
-                hybrid.cap_component_mut().link_table_mut(),
-                kind,
-                params.history.tag_bits,
-                rng,
-            )
-        } else {
-            inject_lb(hybrid.load_buffer_mut(), kind, params.offset_lsb_bits, rng)
-        }
-    }
-
-    fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        let params = self.hybrid().cap_component().params();
-        check_lb_entries(
-            self.load_buffer().entries(),
-            "ldbp/load-buffer",
-            Some(params.offset_lsb_bits),
-            Some(params.history.length),
-        )?;
-        check_lt_entries(
-            self.hybrid().cap_component().link_table(),
-            "ldbp/link-table",
-            Some(params.history.tag_bits),
-        )?;
-        if let Some((i, &e)) = self.branch_table().iter().enumerate().find(|&(_, &e)| e > 3) {
-            return Err(InvariantViolation {
-                target: "ldbp",
-                detail: format!("branch confidence {i} out of 2-bit width: {e}"),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl FaultTarget for PcaxPredictor {
-    fn target_name(&self) -> &'static str {
-        "pcax"
-    }
-
-    fn supported_faults(&self) -> &'static [FaultKind] {
-        &STRIDE_LB_KINDS
-    }
-
-    fn inject_fault(&mut self, kind: FaultKind, rng: &mut StdRng) -> bool {
-        if !STRIDE_LB_KINDS.contains(&kind) {
-            return false;
-        }
-        // The TLB only caches translations the demand path re-fills;
-        // corrupting the address stream through the LB is the fault
-        // surface that actually exercises the assist.
-        inject_lb(self.load_buffer_mut(), kind, 0, rng)
-    }
-
-    fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        check_lb_entries(self.load_buffer().entries(), "pcax/load-buffer", None, None)?;
-        let tlb = self.tlb();
-        if tlb.occupancy() > tlb.config().entries as u64 {
-            return Err(InvariantViolation {
-                target: "pcax",
-                detail: format!(
-                    "tlb occupancy {} exceeds capacity {}",
-                    tlb.occupancy(),
-                    tlb.config().entries
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,27 +407,6 @@ mod tests {
             LoadBufferConfig::paper_default(),
             StrideParams::paper_default(),
         );
-        warm(&mut p);
-        drives_every_kind(&mut p, true);
-    }
-
-    #[test]
-    fn cache_level_supports_and_survives_every_kind() {
-        let mut p = CacheLevelPredictor::new(cap_uarch::cache_level::CacheLevelConfig::paper_default());
-        warm(&mut p);
-        drives_every_kind(&mut p, true);
-    }
-
-    #[test]
-    fn ldbp_supports_and_survives_every_kind() {
-        let mut p = LdbpPredictor::new(cap_uarch::ldbp::LdbpConfig::paper_default());
-        warm(&mut p);
-        drives_every_kind(&mut p, true);
-    }
-
-    #[test]
-    fn pcax_supports_and_survives_every_kind() {
-        let mut p = PcaxPredictor::new(cap_uarch::pcax::PcaxConfig::paper_default());
         warm(&mut p);
         drives_every_kind(&mut p, true);
     }

@@ -14,9 +14,6 @@ use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
 use cap_predictor::load_buffer::LoadBufferConfig;
 use cap_predictor::stride::{StrideParams, StridePredictor};
 use cap_predictor::types::{AddressPredictor, LoadContext};
-use cap_uarch::cache_level::{CacheLevelConfig, CacheLevelPredictor};
-use cap_uarch::ldbp::{LdbpConfig, LdbpPredictor};
-use cap_uarch::pcax::{PcaxConfig, PcaxPredictor};
 use cap_rand::{rngs::StdRng, Rng, SeedableRng};
 use cap_trace::corrupt::{corrupt, CorruptionKind};
 use cap_trace::io::{read_trace, read_trace_lenient, write_trace};
@@ -114,37 +111,6 @@ fn chaos_stride_2000_injections() {
     let report = chaos_rounds(&mut p, &trace, 2_000, 0xCAFE_0003);
     assert_eq!(report.attempted, 2_000);
     assert!(report.applied > 0);
-}
-
-#[test]
-fn chaos_cache_level_2000_injections() {
-    let trace = catalog()[0].generate(8_000);
-    let mut p = CacheLevelPredictor::new(CacheLevelConfig::paper_default());
-    let report = chaos_rounds(&mut p, &trace, 2_000, 0xCAFE_0004);
-    assert_eq!(report.attempted, 2_000);
-    assert!(report.applied > 0);
-    // The level table must have kept training over damaged LB state.
-    assert!(p.level_hits() + p.level_misses() > 0);
-}
-
-#[test]
-fn chaos_ldbp_2000_injections() {
-    let trace = catalog()[1].generate(8_000);
-    let mut p = LdbpPredictor::new(LdbpConfig::paper_default());
-    let report = chaos_rounds(&mut p, &trace, 2_000, 0xCAFE_0005);
-    assert_eq!(report.attempted, 2_000);
-    assert!(report.applied > report.attempted / 2);
-}
-
-#[test]
-fn chaos_pcax_2000_injections() {
-    let trace = catalog()[2].generate(8_000);
-    let mut p = PcaxPredictor::new(PcaxConfig::paper_default());
-    let report = chaos_rounds(&mut p, &trace, 2_000, 0xCAFE_0006);
-    assert_eq!(report.attempted, 2_000);
-    assert!(report.applied > 0);
-    // Demand fills keep the TLB live no matter what the LB predicts.
-    assert!(p.tlb().hits() + p.tlb().misses() > 0);
 }
 
 #[test]

@@ -35,17 +35,6 @@ fn populated_registry() -> Arc<Registry> {
     obs.count("pred.correct_predictions", 650);
     obs.count(cap_harness::names::CKPT_WRITTEN, 4);
 
-    // Backend-catalog counters (cache-level, ldbp, pcax backends).
-    obs.count(cap_uarch::names::CLP_LEVEL_HIT, 540);
-    obs.count(cap_uarch::names::CLP_LEVEL_MISS, 60);
-    obs.count(cap_uarch::names::LDBP_EARLY_RESOLVED, 310);
-    obs.count(cap_uarch::names::LDBP_EARLY_MISPREDICT, 14);
-    obs.count(cap_uarch::names::PCAX_ASSIST, 95);
-    obs.count(cap_uarch::names::TLB_HIT, 1020);
-    obs.count(cap_uarch::names::TLB_MISS, 160);
-    obs.count(cap_uarch::names::TLB_PREWARM, 95);
-    obs.count(cap_uarch::names::TLB_PREWARM_HIT, 71);
-
     obs.count(cap_cluster::names::PARTITION_SUSPECTED, 11);
     obs.count(cap_cluster::names::REPLICA_PROMOTIONS, 1);
     obs.count(cap_cluster::names::EPOCH_FENCED, 2);

@@ -19,9 +19,6 @@ use cap_predictor::load_buffer::LoadBufferConfig;
 use cap_predictor::stride::{StrideParams, StridePredictor};
 use cap_predictor::types::SharedPredictor;
 use cap_snapshot::{Restorable, SectionReader, SnapshotError};
-use cap_uarch::cache_level::{CacheLevelConfig, CacheLevelPredictor};
-use cap_uarch::ldbp::{LdbpConfig, LdbpPredictor};
-use cap_uarch::pcax::{PcaxConfig, PcaxPredictor};
 use std::fmt;
 
 /// Which concrete predictor a backend slot holds.
@@ -33,15 +30,6 @@ pub enum BackendKind {
     Cap,
     /// Enhanced stride (§3.2).
     Stride,
-    /// Stride addresses + per-PC cache-level prediction against the
-    /// `cap-uarch` hierarchy model (Jalili & Erez).
-    CacheLevel,
-    /// Hybrid addresses + GHR-correlated early branch resolution
-    /// (Sridhar et al., LDBP).
-    Ldbp,
-    /// Stride addresses + PC-indexed translation assist pre-warming a
-    /// modeled TLB (Murthy & Sohi, PCAX).
-    Pcax,
 }
 
 /// One registered backend: everything the service stack needs to know
@@ -85,18 +73,6 @@ fn build_stride() -> Box<dyn SharedPredictor> {
     ))
 }
 
-fn build_cache_level() -> Box<dyn SharedPredictor> {
-    Box::new(CacheLevelPredictor::new(CacheLevelConfig::paper_default()))
-}
-
-fn build_ldbp() -> Box<dyn SharedPredictor> {
-    Box::new(LdbpPredictor::new(LdbpConfig::paper_default()))
-}
-
-fn build_pcax() -> Box<dyn SharedPredictor> {
-    Box::new(PcaxPredictor::new(PcaxConfig::paper_default()))
-}
-
 fn restore_boxed<P: SharedPredictor + Restorable + 'static>(
     r: &mut SectionReader<'_>,
 ) -> Result<Box<dyn SharedPredictor>, SnapshotError> {
@@ -126,33 +102,17 @@ pub static BACKEND_REGISTRY: &[BackendDescriptor] = &[
         build: build_stride,
         restore: restore_boxed::<StridePredictor>,
     },
-    // Tag 3 is retired, never to be reused. It named a second
-    // implementation of the hybrid whose snapshot layout differed from
-    // `HybridPredictor`'s, so an alias to `hybrid` would have kept a
-    // decoder for that layout alive. A tag-3 archive fails with
-    // `BadSnapshot` like any unregistered tag, and
+    // Tags 3 to 6 are retired, never to be reused. An archive under a
+    // retired tag fails with `BadSnapshot` like any unregistered tag, and
     // `Service::restore_or_cold` turns that into a counted cold start.
-    BackendDescriptor {
-        kind: BackendKind::CacheLevel,
-        name: "cache-level",
-        tag: 4,
-        build: build_cache_level,
-        restore: restore_boxed::<CacheLevelPredictor>,
-    },
-    BackendDescriptor {
-        kind: BackendKind::Ldbp,
-        name: "ldbp",
-        tag: 5,
-        build: build_ldbp,
-        restore: restore_boxed::<LdbpPredictor>,
-    },
-    BackendDescriptor {
-        kind: BackendKind::Pcax,
-        name: "pcax",
-        tag: 6,
-        build: build_pcax,
-        restore: restore_boxed::<PcaxPredictor>,
-    },
+    // - 3 named a second implementation of the hybrid whose snapshot
+    //   layout differed from `HybridPredictor`'s, so an alias to `hybrid`
+    //   would have kept a decoder for that layout alive.
+    // - 4 (`cache-level`), 5 (`ldbp`) and 6 (`pcax`) named related-work
+    //   backends that served their inner stride or hybrid predictor's
+    //   predictions unchanged. Each paper's claim needs a core mechanism
+    //   the timing model lacks: consumers scheduled at an assumed cache
+    //   level, branches that depend on loads, and a TLB-miss penalty.
 ];
 
 /// A backend name that matched nothing in [`BACKEND_REGISTRY`].
@@ -304,10 +264,12 @@ mod tests {
 
     #[test]
     fn retired_tag_3_stays_unclaimed() {
-        assert!(
-            BACKEND_REGISTRY.iter().all(|d| d.tag != 3),
-            "tag 3 is retired and must never be reused"
-        );
+        for tag in 3..=6 {
+            assert!(
+                BACKEND_REGISTRY.iter().all(|d| d.tag != tag),
+                "tag {tag} is retired and must never be reused"
+            );
+        }
     }
 
     #[test]

@@ -1278,48 +1278,51 @@ mod tests {
 
     #[test]
     fn retired_tag_3_archive_starts_cold() {
-        // A well-formed archive whose primary backend tag is the retired
-        // 3: real worker sections, re-framed under a doctored meta.
+        // Well-formed archives whose primary backend tag is retired (3 to
+        // 6): real worker sections, re-framed under a doctored meta.
         let config = small_config();
         let donor = Service::start(config.clone());
         let bytes = donor.shutdown(Duration::from_millis(100)).snapshot;
         let archive = SnapshotArchive::parse(&bytes).expect("donor archive parses");
-        let mut meta = SectionWriter::new();
-        meta.put_u32(SERVICE_SNAPSHOT_VERSION);
-        meta.put_u64(config.workers as u64);
-        meta.put_u8(3);
-        meta.put_u8(config.fallback.tag());
-        let mut b = SnapshotBuilder::new();
-        b.add_raw(SEC_SERVICE, meta.into_bytes());
-        for i in 0..config.workers {
-            let name = worker_section_name(i);
-            let section = archive.section(&name).expect("worker section");
-            b.add_raw(&name, section.to_vec());
-        }
-        let doctored = b.finish();
-
-        match Service::start_restored(config.clone(), &doctored) {
-            Err(ServiceError::BadSnapshot(msg)) => assert!(
-                msg.contains("primary backend tag 3 is not registered"),
-                "error must name the retired tag: {msg}"
-            ),
-            Err(e) => panic!("expected BadSnapshot, got {e:?}"),
-            Ok(s) => {
-                let _ = s.shutdown(Duration::from_millis(100));
-                panic!("a tag-3 archive must not restore");
+        for tag in 3..=6u8 {
+            let mut meta = SectionWriter::new();
+            meta.put_u32(SERVICE_SNAPSHOT_VERSION);
+            meta.put_u64(config.workers as u64);
+            meta.put_u8(tag);
+            meta.put_u8(config.fallback.tag());
+            let mut b = SnapshotBuilder::new();
+            b.add_raw(SEC_SERVICE, meta.into_bytes());
+            for i in 0..config.workers {
+                let name = worker_section_name(i);
+                let section = archive.section(&name).expect("worker section");
+                b.add_raw(&name, section.to_vec());
             }
-        }
+            let doctored = b.finish();
 
-        let registry = Arc::new(cap_obs::Registry::new());
-        let mut config = config;
-        config.obs = registry.obs();
-        let (cold, used) = Service::restore_or_cold(config, Some(&doctored));
-        assert!(!used, "a tag-3 archive must start cold");
-        let _ = cold.shutdown(Duration::from_millis(100));
-        assert_eq!(
-            registry.snapshot().counter(names::SNAPSHOT_DEGRADED_COLD),
-            Some(1)
-        );
+            match Service::start_restored(config.clone(), &doctored) {
+                Err(ServiceError::BadSnapshot(msg)) => assert!(
+                    msg.contains(&format!("primary backend tag {tag} is not registered")),
+                    "error must name the retired tag {tag}: {msg}"
+                ),
+                Err(e) => panic!("tag {tag}: expected BadSnapshot, got {e:?}"),
+                Ok(s) => {
+                    let _ = s.shutdown(Duration::from_millis(100));
+                    panic!("a tag-{tag} archive must not restore");
+                }
+            }
+
+            let registry = Arc::new(cap_obs::Registry::new());
+            let mut config = config.clone();
+            config.obs = registry.obs();
+            let (cold, used) = Service::restore_or_cold(config, Some(&doctored));
+            assert!(!used, "a tag-{tag} archive must start cold");
+            let _ = cold.shutdown(Duration::from_millis(100));
+            assert_eq!(
+                registry.snapshot().counter(names::SNAPSHOT_DEGRADED_COLD),
+                Some(1),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -110,12 +110,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// The configured latencies.
-    #[must_use]
-    pub fn latency(&self) -> &LatencyConfig {
-        &self.latency
-    }
-
     /// L1 hit rate so far.
     #[must_use]
     pub fn l1_hit_rate(&self) -> f64 {

@@ -11,12 +11,7 @@
 //! * [`branch`] — bimodal, gshare, and the hybrid direction predictor;
 //! * [`capacity`] — per-cycle structural resource booking;
 //! * [`core`] — the timestamp-dataflow out-of-order core with
-//!   address-prediction integration and selective recovery;
-//! * [`tlb`] — a modeled DTLB with a speculative pre-warm port;
-//! * [`cache_level`] / [`ldbp`] / [`pcax`] — related-work predictor
-//!   backends that couple the paper's address predictors to this
-//!   timing substrate (cache-level prediction, load-driven early
-//!   branch resolution, and PC-indexed translation assist).
+//!   address-prediction integration and selective recovery.
 //!
 //! ## Quick start
 //!
@@ -37,13 +32,9 @@
 
 pub mod branch;
 pub mod cache;
-pub mod cache_level;
 pub mod capacity;
 pub mod core;
 pub mod hierarchy;
-pub mod ldbp;
-pub mod pcax;
-pub mod tlb;
 
 pub use crate::core::{run_trace, CoreConfig, CoreStats, OooCore};
 
@@ -68,34 +59,12 @@ pub mod names {
     /// Outstanding store-forwarding words at the last publish point
     /// (gauge).
     pub const STORE_SET_SIZE: &str = "uarch.store_set.size";
-    /// Modeled-TLB demand hits.
-    pub const TLB_HIT: &str = "uarch.tlb.hit";
-    /// Modeled-TLB demand misses.
-    pub const TLB_MISS: &str = "uarch.tlb.miss";
-    /// Speculative TLB installs issued by the PCAX assist.
-    pub const TLB_PREWARM: &str = "uarch.tlb.prewarm";
-    /// Demand TLB hits served by a still-warm speculative install.
-    pub const TLB_PREWARM_HIT: &str = "uarch.tlb.prewarm_hit";
-    /// `cache-level` backend: correct per-PC level predictions.
-    pub const CLP_LEVEL_HIT: &str = "backend.cache_level.level_hit";
-    /// `cache-level` backend: wrong per-PC level predictions.
-    pub const CLP_LEVEL_MISS: &str = "backend.cache_level.level_miss";
-    /// `ldbp` backend: branches resolved early and confirmed correct.
-    pub const LDBP_EARLY_RESOLVED: &str = "backend.ldbp.early_resolved";
-    /// `ldbp` backend: branches claimed early on a wrong address.
-    pub const LDBP_EARLY_MISPREDICT: &str = "backend.ldbp.early_mispredict";
-    /// `pcax` backend: speculative TLB installs issued off predictions.
-    pub const PCAX_ASSIST: &str = "backend.pcax.assist";
 }
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::branch::{BranchPredictor, HybridBranchPredictor};
     pub use crate::cache::{Cache, CacheConfig};
-    pub use crate::cache_level::{CacheLevelConfig, CacheLevelPredictor};
     pub use crate::core::{run_trace, CoreConfig, CoreStats, OooCore};
     pub use crate::hierarchy::{LatencyConfig, MemoryHierarchy};
-    pub use crate::ldbp::{LdbpConfig, LdbpPredictor};
-    pub use crate::pcax::{PcaxConfig, PcaxPredictor};
-    pub use crate::tlb::{Tlb, TlbConfig};
 }

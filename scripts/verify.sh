@@ -259,7 +259,7 @@ bench_gate() {
             journal_replay_ns_per_record cluster_direct_p50_ns \
             cluster_direct_p99_ns cluster_router_p50_ns \
             cluster_router_p99_ns p50_ns p99_ns \
-            backend_cache_level_ns backend_ldbp_ns backend_pcax_ns; do
+            backend_hybrid_ns backend_cap_ns backend_stride_ns; do
             expect "$out" "\"$key\"" "$out is missing \"$key\""
         done
         echo "baseline written: $out"
@@ -323,7 +323,7 @@ backends_gate() {
         fail "serve accepted an unknown backend"
     fi
     expect "$dir/bogus.log" "unknown backend 'bogus'" "parse failure did not name the bad input"
-    expect "$dir/bogus.log" 'valid backends:.*cache-level.*ldbp.*pcax' \
+    expect "$dir/bogus.log" 'valid backends: hybrid, cap, stride' \
         "parse failure did not list the registered catalog"
 
     step "backends: per-backend serve → replay → drain → warm restart"
@@ -363,8 +363,8 @@ backends_gate() {
         count=$((count + 1))
         echo "backend smoke [$b]: served, drained, warm restart bit-identical"
     done
-    if [ "$count" -lt 6 ]; then
-        fail "expected at least 6 registered backends, smoked $count"
+    if [ "$count" -lt 3 ]; then
+        fail "expected at least 3 registered backends, smoked $count"
     fi
     echo "backend smoke: $count backends selectable end-to-end"
 }
