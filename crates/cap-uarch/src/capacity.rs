@@ -32,7 +32,9 @@
 //! count)` bookings. A restore rejects a frontier at or above `2^62`,
 //! which no simulation reaches, and any booking `2^24` or more cycles
 //! above the frontier, before it allocates. So a restored window holds at
-//! most 64 MiB, and booking past it cannot overflow a cycle number.
+//! most 64 MiB, and booking past it cannot overflow a cycle number. The
+//! core's restore holds its other restored times to the same two ceilings
+//! ([`crate::core::OooCore`]).
 
 use std::collections::VecDeque;
 
@@ -114,15 +116,20 @@ impl SlotTracker {
     pub fn width(&self) -> u32 {
         self.width
     }
+
+    /// The retire frontier: the floor of every request.
+    pub(crate) fn frontier(&self) -> u64 {
+        self.frontier
+    }
 }
 
 use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
 
 /// Restore ceiling on the frontier; no simulation reaches it.
-const MAX_FRONTIER: u64 = 1 << 62;
+pub(crate) const MAX_FRONTIER: u64 = 1 << 62;
 /// Restore ceiling: a booking must lie fewer than this many cycles above
 /// the frontier.
-const MAX_SPAN: u64 = 1 << 24;
+pub(crate) const MAX_SPAN: u64 = 1 << 24;
 
 /// Reads and checks a slot payload: width, frontier, then `(cycle,
 /// count)` bookings. Passes each booking at or above the frontier to
@@ -287,6 +294,12 @@ impl InOrderSlots {
             self.cycle += 1;
             self.count = 1;
         }
+        self.cycle
+    }
+
+    /// The latest booked cycle; with nothing booked, the floor of the next
+    /// booking.
+    pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 }

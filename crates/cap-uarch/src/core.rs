@@ -39,7 +39,7 @@
 
 use crate::branch::{BranchPredictor, HybridBranchPredictor};
 use crate::cache::CacheConfig;
-use crate::capacity::{InOrderSlots, SlotTracker};
+use crate::capacity::{InOrderSlots, SlotTracker, MAX_FRONTIER, MAX_SPAN};
 use crate::hierarchy::{LatencyConfig, MemoryHierarchy};
 use crate::names;
 use cap_obs::Obs;
@@ -572,21 +572,38 @@ impl Restorable for OooCore {
         let commit_slots = InOrderSlots::read_state(r)?;
         let alu = SlotTracker::read_state(r)?;
         let ports = SlotTracker::read_state(r)?;
+        // The in-order stages' cycles and every restored time below feed an
+        // addition or a slot booking in `run`, so they are held to a slot
+        // window's ceilings: below 2^62, and fewer than 2^24 cycles above
+        // the lower of the ALU and port frontiers.
+        let limit = MAX_FRONTIER.min(alu.frontier().min(ports.frontier()) + MAX_SPAN);
+        for (stage, slots) in [
+            ("fetch", &fetch_slots),
+            ("dispatch", &dispatch_slots),
+            ("commit", &commit_slots),
+        ] {
+            if slots.cycle() >= limit {
+                return Err(r.bad_value(format!(
+                    "{stage} stage cycle {} at or above the restore limit {limit}",
+                    slots.cycle()
+                )));
+            }
+        }
         let mut reg_ready = [0u64; RegId::COUNT];
         for t in &mut reg_ready {
-            *t = r.take_u64("register ready time")?;
+            *t = take_time(r, limit, "register ready time")?;
         }
         let n_stores = r.take_len(16, "store forwarding count")?;
         let mut store_ready = HashMap::with_capacity(n_stores);
         for _ in 0..n_stores {
             let word = r.take_u64("store word address")?;
-            let ready = r.take_u64("store ready time")?;
+            let ready = take_time(r, limit, "store ready time")?;
             store_ready.insert(word, ready);
         }
         let ring_len = r.take_len(8, "commit ring length")?;
         let mut commit_ring = VecDeque::with_capacity(ring_len);
         for _ in 0..ring_len {
-            commit_ring.push_back(r.take_u64("commit time")?);
+            commit_ring.push_back(take_time(r, limit, "commit time")?);
         }
         Ok(Self {
             config,
@@ -600,14 +617,27 @@ impl Restorable for OooCore {
             reg_ready,
             store_ready,
             commit_ring,
-            redirect_time: r.take_u64("redirect time")?,
-            last_commit: r.take_u64("last commit")?,
+            redirect_time: take_time(r, limit, "redirect time")?,
+            last_commit: take_time(r, limit, "last commit")?,
             control: ControlState::read_state(r)?,
             stats: CoreStats::read_state(r)?,
             // Telemetry is not snapshotted: restores come up with it off.
             obs: Obs::off(),
         })
     }
+}
+
+/// Reads a restored time and rejects one at or above `limit`.
+fn take_time(
+    r: &mut SectionReader<'_>,
+    limit: u64,
+    what: &'static str,
+) -> Result<u64, SnapshotError> {
+    let t = r.take_u64(what)?;
+    if t >= limit {
+        return Err(r.bad_value(format!("{what} {t} at or above the restore limit {limit}")));
+    }
+    Ok(t)
 }
 
 /// Convenience: runs `trace` on a fresh core.
@@ -934,6 +964,53 @@ mod tests {
             with_pf.l1_hit_rate,
             plain.l1_hit_rate
         );
+    }
+
+    #[test]
+    fn hostile_restored_times_are_rejected() {
+        use cap_snapshot::{Restorable, Snapshot, SnapshotError};
+        // 20 000 instructions pass two prune points, so both frontiers
+        // are above zero.
+        let mut core = OooCore::new(config());
+        core.run(&chase_trace(20_000), None, 0);
+        let floor = core.alu.frontier().min(core.ports.frontier());
+        assert!(floor > 0 && !core.commit_ring.is_empty());
+        let payload = core.to_payload();
+        type SetTime = fn(&mut OooCore, u64);
+        let cases: [(&str, SetTime); 8] = [
+            ("fetch stage cycle", |c, t| {
+                c.fetch_slots.alloc(t);
+            }),
+            ("dispatch stage cycle", |c, t| {
+                c.dispatch_slots.alloc(t);
+            }),
+            ("commit stage cycle", |c, t| {
+                c.commit_slots.alloc(t);
+            }),
+            ("register ready time", |c, t| c.reg_ready[9] = t),
+            ("store ready time", |c, t| {
+                c.store_ready.insert(0x1000 >> 2, t);
+            }),
+            ("commit ring entry", |c, t| c.commit_ring[0] = t),
+            ("redirect time", |c, t| c.redirect_time = t),
+            ("last commit", |c, t| c.last_commit = t),
+        ];
+        for (field, set) in cases {
+            let restore_with = |t: u64| {
+                let mut c = OooCore::from_payload(&payload, "core").expect("own payload restores");
+                set(&mut c, t);
+                OooCore::from_payload(&c.to_payload(), "core")
+            };
+            for t in [u64::MAX - 3, floor + MAX_SPAN] {
+                match restore_with(t) {
+                    Err(SnapshotError::BadValue { .. }) => {}
+                    Err(e) => panic!("{field} at {t}: expected BadValue, got {e}"),
+                    Ok(_) => panic!("{field} at {t}: restored"),
+                }
+            }
+            // One cycle under the span ceiling still restores.
+            assert!(restore_with(floor + MAX_SPAN - 1).is_ok(), "{field}");
+        }
     }
 
     #[test]
