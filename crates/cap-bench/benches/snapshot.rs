@@ -10,10 +10,11 @@
 //! atomic write + fsync + rotate.
 
 use cap_bench::bench_kit::Criterion;
-use cap_harness::supervisor::{run, PredictorKind, SupervisorConfig};
+use cap_harness::supervisor::{run, SupervisorConfig};
 use cap_predictor::drive::Session;
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
 use cap_predictor::metrics::PredictorStats;
+use cap_service::backend::BackendKind;
 use cap_snapshot::{
     encode_journal_header, encode_journal_record, JournalReplay, SectionReader, SectionWriter,
     SnapshotArchive, SnapshotBuilder,
@@ -123,12 +124,12 @@ fn bench(c: &mut Criterion) {
     }
 
     group.bench_function("supervised_run_no_checkpoints", |b| {
-        b.iter(|| run(&SupervisorConfig::new(&trace_path, PredictorKind::Hybrid)).expect("runs"));
+        b.iter(|| run(&SupervisorConfig::new(&trace_path, BackendKind::Hybrid)).expect("runs"));
     });
 
     group.bench_function("supervised_run_checkpoint_every_2k", |b| {
         let ckpt_dir = dir.join("ckpts");
-        let mut cfg = SupervisorConfig::new(&trace_path, PredictorKind::Hybrid);
+        let mut cfg = SupervisorConfig::new(&trace_path, BackendKind::Hybrid);
         cfg.checkpoint_dir = Some(ckpt_dir);
         cfg.checkpoint_every = 2_000;
         b.iter(|| run(&cfg).expect("runs"));
@@ -139,7 +140,7 @@ fn bench(c: &mut Criterion) {
     // + fsync included.
     group.bench_function("supervised_run_ckpt_2k_journal_256", |b| {
         let ckpt_dir = dir.join("ckpts-journal");
-        let mut cfg = SupervisorConfig::new(&trace_path, PredictorKind::Hybrid);
+        let mut cfg = SupervisorConfig::new(&trace_path, BackendKind::Hybrid);
         cfg.checkpoint_dir = Some(ckpt_dir);
         cfg.checkpoint_every = 2_000;
         cfg.journal_flush_every = 256;

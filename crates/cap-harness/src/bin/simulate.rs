@@ -2,18 +2,20 @@
 //!
 //! ```text
 //! simulate gen --out trace.txt [--suite <i>] [--loads <n>]
-//! simulate run --trace trace.txt [--predictor stride|cap|hybrid]
+//! simulate run --trace trace.txt [--predictor <name>]
 //!          [--checkpoint-dir <dir>] [--checkpoint-every <n>] [--keep <k>]
 //!          [--resume auto|<path>] [--kill-after <n>] [--chaos-every <n>]
 //!          [--seed <s>] [--json]
 //! ```
 //!
-//! `run` drives one predictor over a trace file, publishing
-//! crash-consistent checkpoints every `--checkpoint-every` events. A run
-//! that dies (or is told to die with `--kill-after`, which exits hard with
-//! status 137 like a SIGKILL) can be restarted with `--resume auto`: the
-//! newest valid checkpoint is recovered, torn files are swept up, and the
-//! finished run's metrics are bit-identical to an uninterrupted one.
+//! `run` drives one predictor over a trace file (`--predictor` takes any
+//! name `simulate backends` lists, in any case; default `hybrid`),
+//! publishing crash-consistent checkpoints every `--checkpoint-every`
+//! events. A run that dies (or is told to die with `--kill-after`, which
+//! exits hard with status 137 like a SIGKILL) can be restarted with
+//! `--resume auto`: the newest valid checkpoint is recovered, torn files
+//! are swept up, and the finished run's metrics are bit-identical to an
+//! uninterrupted one.
 //!
 //! Service mode (the long-lived analogue of `run`):
 //!
@@ -66,8 +68,7 @@ use cap_harness::checkpoint::{
 };
 use cap_harness::json::JsonObject;
 use cap_harness::supervisor::{
-    run, with_retry, PredictorKind, Resume, RetryPolicy, RunOutcome, SupervisorConfig,
-    SupervisorError,
+    run, with_retry, Resume, RetryPolicy, RunOutcome, SupervisorConfig, SupervisorError,
 };
 use cap_predictor::drive::ControlState;
 use cap_service::net::serve_frames;
@@ -114,7 +115,7 @@ fn parse_number(flag: &str, value: &str) -> u64 {
 
 fn usage() -> ! {
     eprintln!("usage: simulate gen --out <path> [--suite <i>] [--loads <n>]");
-    eprintln!("       simulate run --trace <path> [--predictor stride|cap|hybrid]");
+    eprintln!("       simulate run --trace <path> [--predictor <name>]");
     eprintln!("                [--checkpoint-dir <dir>] [--checkpoint-every <n>] [--keep <k>]");
     eprintln!("                [--journal-every <n>] [--resume auto|<path>]");
     eprintln!("                [--kill-after <n>] [--chaos-every <n>] [--seed <s>] [--json]");
@@ -165,7 +166,7 @@ fn cmd_gen(mut args: Vec<String>) {
     );
 }
 
-fn outcome_json(kind: PredictorKind, outcome: &RunOutcome) -> String {
+fn outcome_json(kind: BackendKind, outcome: &RunOutcome) -> String {
     let s = &outcome.stats;
     let resumed = outcome.resumed_from.as_ref().map(|p| p.display().to_string());
     JsonObject::new()
@@ -238,12 +239,8 @@ fn cmd_run(mut args: Vec<String>) {
             exit(2);
         })
         .into();
-    let kind = take_value(&mut args, "--predictor").map_or(PredictorKind::Hybrid, |v| {
-        PredictorKind::parse(&v).unwrap_or_else(|| {
-            eprintln!("--predictor wants stride|cap|hybrid, got '{v}'");
-            exit(2);
-        })
-    });
+    let kind = take_value(&mut args, "--predictor")
+        .map_or(BackendKind::Hybrid, |v| parse_backend("--predictor", &v));
     let json = take_flag(&mut args, "--json");
 
     let mut config = SupervisorConfig::new(trace, kind);

@@ -266,7 +266,8 @@ pub fn wrong_path(scale: &Scale) -> (CoreCompareRows, ExperimentReport) {
         for spec in suite.traces().into_iter().take(take) {
             let trace = spec.generate(scale.loads_per_trace);
             let mut a = HybridPredictor::new(HybridConfig::paper_default());
-            rec.merge(&Session::new(&mut a).wrong_path(8).recovery(true).run(&trace));
+            // Perfect recovery undoes the wrong path: a clean session.
+            rec.merge(&Session::new(&mut a).run(&trace));
             let mut b = HybridPredictor::new(HybridConfig::paper_default());
             norec.merge(&Session::new(&mut b).wrong_path(8).run(&trace));
         }

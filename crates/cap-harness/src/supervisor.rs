@@ -33,21 +33,16 @@ use crate::checkpoint::{
 use crate::names;
 use cap_faults::fs::{RealVfs, Vfs};
 use cap_faults::plan::FaultPlan;
-use cap_faults::target::FaultTarget;
-use cap_predictor::cap::{CapConfig, CapPredictor};
 use cap_predictor::drive::ControlState;
-use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
-use cap_predictor::load_buffer::LoadBufferConfig;
 use cap_predictor::metrics::PredictorStats;
-use cap_predictor::stride::{StrideParams, StridePredictor};
-use cap_predictor::types::{AddressPredictor, LoadContext, Prediction};
+use cap_predictor::types::LoadContext;
 use cap_obs::{Classify, ErrorClass, Obs};
 use cap_rand::{rngs::StdRng, SeedableRng};
+use cap_service::backend::{Backend, BackendKind};
 use cap_snapshot::{
     crc32, encode_journal_header, encode_journal_record,
     journal::{JOURNAL_HEADER_LEN, JOURNAL_RECORD_OVERHEAD},
-    JournalReplay, Restorable, SectionReader, SectionWriter, Snapshot, SnapshotArchive,
-    SnapshotBuilder, SnapshotError,
+    JournalReplay, SectionReader, SectionWriter, SnapshotArchive, SnapshotBuilder, SnapshotError,
 };
 use cap_trace::cursor::{CursorPos, TraceCursor};
 use cap_trace::io::{event_line, parse_event_line, ParseTraceError};
@@ -59,147 +54,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which predictor the supervisor drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorKind {
-    /// Stride-only baseline (§3.2).
-    Stride,
-    /// Pure CAP (§3.3).
-    Cap,
-    /// The paper's hybrid (§3.5).
-    Hybrid,
-}
-
-impl PredictorKind {
-    /// The CLI/JSON name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PredictorKind::Stride => "stride",
-            PredictorKind::Cap => "cap",
-            PredictorKind::Hybrid => "hybrid",
-        }
-    }
-
-    /// Parses a CLI name.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "stride" => Some(PredictorKind::Stride),
-            "cap" => Some(PredictorKind::Cap),
-            "hybrid" => Some(PredictorKind::Hybrid),
-            _ => None,
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            PredictorKind::Stride => 0,
-            PredictorKind::Cap => 1,
-            PredictorKind::Hybrid => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(PredictorKind::Stride),
-            1 => Some(PredictorKind::Cap),
-            2 => Some(PredictorKind::Hybrid),
-            _ => None,
-        }
-    }
-}
-
-/// A predictor of any kind, with paper-default configuration — the
-/// supervisor's runtime dispatch over the three predictor types (the
-/// `AddressPredictor + Snapshot + FaultTarget` combination is not
-/// dyn-compatible, so an enum carries it instead).
-#[derive(Debug)]
-pub enum AnyPredictor {
-    /// Stride-only baseline.
-    Stride(StridePredictor),
-    /// Pure CAP.
-    Cap(CapPredictor),
-    /// Stride + CAP hybrid.
-    Hybrid(HybridPredictor),
-}
-
-impl AnyPredictor {
-    /// A fresh paper-default predictor of the given kind.
-    #[must_use]
-    pub fn new(kind: PredictorKind) -> Self {
-        match kind {
-            PredictorKind::Stride => AnyPredictor::Stride(StridePredictor::new(
-                LoadBufferConfig::paper_default(),
-                StrideParams::paper_default(),
-            )),
-            PredictorKind::Cap => AnyPredictor::Cap(CapPredictor::new(CapConfig::paper_default())),
-            PredictorKind::Hybrid => {
-                AnyPredictor::Hybrid(HybridPredictor::new(HybridConfig::paper_default()))
-            }
-        }
-    }
-
-    /// The kind of the wrapped predictor.
-    #[must_use]
-    pub fn kind(&self) -> PredictorKind {
-        match self {
-            AnyPredictor::Stride(_) => PredictorKind::Stride,
-            AnyPredictor::Cap(_) => PredictorKind::Cap,
-            AnyPredictor::Hybrid(_) => PredictorKind::Hybrid,
-        }
-    }
-
-    /// Dispatches [`AddressPredictor::predict`].
-    pub fn predict(&mut self, ctx: &LoadContext) -> Prediction {
-        match self {
-            AnyPredictor::Stride(p) => p.predict(ctx),
-            AnyPredictor::Cap(p) => p.predict(ctx),
-            AnyPredictor::Hybrid(p) => p.predict(ctx),
-        }
-    }
-
-    /// Dispatches [`AddressPredictor::update`].
-    pub fn update(&mut self, ctx: &LoadContext, actual: u64, pred: &Prediction) {
-        match self {
-            AnyPredictor::Stride(p) => p.update(ctx, actual, pred),
-            AnyPredictor::Cap(p) => p.update(ctx, actual, pred),
-            AnyPredictor::Hybrid(p) => p.update(ctx, actual, pred),
-        }
-    }
-
-    /// The chaos-injection surface of the wrapped predictor.
-    pub fn as_fault_target(&mut self) -> &mut dyn FaultTarget {
-        match self {
-            AnyPredictor::Stride(p) => p,
-            AnyPredictor::Cap(p) => p,
-            AnyPredictor::Hybrid(p) => p,
-        }
-    }
-}
-
-impl Snapshot for AnyPredictor {
-    fn write_state(&self, w: &mut SectionWriter) {
-        w.put_u8(self.kind().tag());
-        match self {
-            AnyPredictor::Stride(p) => p.write_state(w),
-            AnyPredictor::Cap(p) => p.write_state(w),
-            AnyPredictor::Hybrid(p) => p.write_state(w),
-        }
-    }
-}
-
-impl Restorable for AnyPredictor {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let tag = r.take_u8("predictor kind tag")?;
-        match PredictorKind::from_tag(tag) {
-            Some(PredictorKind::Stride) => Ok(AnyPredictor::Stride(StridePredictor::read_state(r)?)),
-            Some(PredictorKind::Cap) => Ok(AnyPredictor::Cap(CapPredictor::read_state(r)?)),
-            Some(PredictorKind::Hybrid) => Ok(AnyPredictor::Hybrid(HybridPredictor::read_state(r)?)),
-            None => Err(r.bad_value(format!("unknown predictor kind tag {tag}"))),
-        }
-    }
-}
+// The old name of `BackendKind`, kept only because perfbench's
+// `durable.rs` still imports it; ROADMAP item 1 switches perfbench and
+// deletes this line.
+pub use cap_service::backend::BackendKind as PredictorKind;
 
 /// Identity of a trace file — length plus a CRC of its head — recorded in
 /// every checkpoint so a resume against the wrong (or rewritten) trace is
@@ -396,8 +254,8 @@ pub enum Resume {
 pub struct SupervisorConfig {
     /// The trace file to drive.
     pub trace: PathBuf,
-    /// Which predictor to run.
-    pub kind: PredictorKind,
+    /// Which registered backend to run.
+    pub kind: BackendKind,
     /// Seed for the supervisor's PRNG (chaos stream).
     pub seed: u64,
     /// Where checkpoints live; `None` disables checkpointing and `Auto`
@@ -441,7 +299,7 @@ pub struct SupervisorConfig {
 impl SupervisorConfig {
     /// A minimal config: no checkpoints, no chaos, no kill.
     #[must_use]
-    pub fn new(trace: impl Into<PathBuf>, kind: PredictorKind) -> Self {
+    pub fn new(trace: impl Into<PathBuf>, kind: BackendKind) -> Self {
         Self {
             trace: trace.into(),
             kind,
@@ -594,7 +452,7 @@ where
 
 /// The live state a checkpoint must capture exactly.
 struct RunState {
-    predictor: AnyPredictor,
+    predictor: Box<dyn Backend>,
     control: ControlState,
     stats: PredictorStats,
     rng: StdRng,
@@ -604,7 +462,7 @@ struct RunState {
 impl RunState {
     fn fresh(config: &SupervisorConfig) -> Self {
         Self {
-            predictor: AnyPredictor::new(config.kind),
+            predictor: config.kind.build(),
             control: ControlState::default(),
             stats: PredictorStats::new(),
             rng: StdRng::seed_from_u64(config.seed),
@@ -612,6 +470,12 @@ impl RunState {
         }
     }
 }
+
+/// Checkpoint layout version, the first field of the meta section. Layout
+/// 1 had no version and numbered its predictor tags 0 = stride, 2 =
+/// hybrid, the reverse of the registry's; its meta section is four bytes
+/// shorter, so it never decodes as layout 2.
+const CHECKPOINT_LAYOUT_VERSION: u32 = 2;
 
 const SEC_META: &str = "meta";
 const SEC_PREDICTOR: &str = "predictor";
@@ -623,6 +487,7 @@ const SEC_CURSOR: &str = "cursor";
 /// Serializes a full checkpoint archive for the given live state.
 fn encode_checkpoint(config: &SupervisorConfig, identity: TraceId, state: &RunState) -> Vec<u8> {
     let mut meta = SectionWriter::new();
+    meta.put_u32(CHECKPOINT_LAYOUT_VERSION);
     meta.put_u8(config.kind.tag());
     meta.put_u64(config.seed);
     meta.put_u64(identity.len);
@@ -630,7 +495,7 @@ fn encode_checkpoint(config: &SupervisorConfig, identity: TraceId, state: &RunSt
 
     let mut b = SnapshotBuilder::new();
     b.add_raw(SEC_META, meta.into_bytes());
-    b.add(SEC_PREDICTOR, &state.predictor);
+    b.add(SEC_PREDICTOR, &*state.predictor);
     b.add(SEC_CONTROL, &state.control);
     b.add(SEC_STATS, &state.stats);
     b.add(SEC_RNG, &state.rng);
@@ -647,8 +512,16 @@ fn decode_checkpoint(
     let archive = SnapshotArchive::parse(bytes)?;
     let meta_bytes = archive.section(SEC_META)?;
     let mut meta = SectionReader::new(meta_bytes, SEC_META);
+    let version = meta.take_u32("checkpoint layout version")?;
+    if version != CHECKPOINT_LAYOUT_VERSION {
+        return Err(meta
+            .bad_value(format!(
+                "checkpoint layout version {version}, supported {CHECKPOINT_LAYOUT_VERSION}"
+            ))
+            .into());
+    }
     let tag = meta.take_u8("predictor kind tag")?;
-    let kind = PredictorKind::from_tag(tag)
+    let kind = BackendKind::from_tag(tag)
         .ok_or_else(|| meta.bad_value(format!("unknown predictor kind tag {tag}")))?;
     let seed = meta.take_u64("supervisor seed")?;
     let len = meta.take_u64("trace length")?;
@@ -677,8 +550,11 @@ fn decode_checkpoint(
         )));
     }
 
+    let mut r = SectionReader::new(archive.section(SEC_PREDICTOR)?, SEC_PREDICTOR);
+    let predictor = kind.restore(&mut r)?;
+    r.finish()?;
     Ok(RunState {
-        predictor: archive.restore(SEC_PREDICTOR)?,
+        predictor,
         control: archive.restore(SEC_CONTROL)?,
         stats: archive.restore(SEC_STATS)?,
         rng: archive.restore(SEC_RNG)?,
@@ -770,7 +646,7 @@ fn apply_event(
     // the post-fault state and the advanced RNG, so resume replays the
     // remainder of the run exactly.
     if config.chaos_every > 0 && events.is_multiple_of(config.chaos_every) {
-        let report = chaos_plan.inject_with(state.predictor.as_fault_target(), &mut state.rng);
+        let report = chaos_plan.inject_with(&mut *state.predictor, &mut state.rng);
         *faults_applied += report.applied as u64;
     }
 }
@@ -1076,6 +952,7 @@ pub fn run(config: &SupervisorConfig) -> Result<RunOutcome, SupervisorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cap_service::backend::BACKEND_REGISTRY;
     use cap_trace::io::write_trace;
     use cap_trace::suites::catalog;
     use std::fs;
@@ -1114,30 +991,32 @@ mod tests {
         let dir = temp_dir("resume");
         let trace = write_temp_trace(&dir, 6_000);
 
-        // Reference: one uninterrupted run.
-        let reference = run(&SupervisorConfig::new(&trace, PredictorKind::Hybrid)).unwrap();
-        assert!(!reference.killed);
-        assert!(reference.stats.loads > 0);
+        for d in BACKEND_REGISTRY {
+            // Reference: one uninterrupted run.
+            let reference = run(&SupervisorConfig::new(&trace, d.kind)).unwrap();
+            assert!(!reference.killed);
+            assert!(reference.stats.loads > 0);
 
-        // Killed run: checkpoints every 512 events, dies at 3_000.
-        let ckpt_dir = dir.join("ckpts");
-        let mut cfg = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
-        cfg.checkpoint_dir = Some(ckpt_dir.clone());
-        cfg.checkpoint_every = 512;
-        cfg.kill_after = Some(3_000);
-        let killed = run(&cfg).unwrap();
-        assert!(killed.killed);
-        assert!(killed.checkpoints_written > 0);
+            // Killed run: checkpoints every 512 events, dies at 3_000.
+            let ckpt_dir = dir.join(d.name);
+            let mut cfg = SupervisorConfig::new(&trace, d.kind);
+            cfg.checkpoint_dir = Some(ckpt_dir.clone());
+            cfg.checkpoint_every = 512;
+            cfg.kill_after = Some(3_000);
+            let killed = run(&cfg).unwrap();
+            assert!(killed.killed);
+            assert!(killed.checkpoints_written > 0);
 
-        // Resumed run: picks up the newest checkpoint, finishes the trace.
-        let mut cfg2 = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
-        cfg2.checkpoint_dir = Some(ckpt_dir);
-        cfg2.checkpoint_every = 512;
-        cfg2.resume = Resume::Auto;
-        let resumed = run(&cfg2).unwrap();
-        assert!(resumed.resumed_from.is_some());
-        assert_eq!(resumed.events, reference.events);
-        assert_stats_eq(&resumed.stats, &reference.stats);
+            // Resumed run: picks up the newest checkpoint, finishes the trace.
+            let mut cfg2 = SupervisorConfig::new(&trace, d.kind);
+            cfg2.checkpoint_dir = Some(ckpt_dir);
+            cfg2.checkpoint_every = 512;
+            cfg2.resume = Resume::Auto;
+            let resumed = run(&cfg2).unwrap();
+            assert!(resumed.resumed_from.is_some(), "{}", d.name);
+            assert_eq!(resumed.events, reference.events);
+            assert_stats_eq(&resumed.stats, &reference.stats);
+        }
 
         fs::remove_dir_all(&dir).ok();
     }
@@ -1147,31 +1026,89 @@ mod tests {
         let dir = temp_dir("chaos-resume");
         let trace = write_temp_trace(&dir, 5_000);
 
-        let mut base = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
-        base.chaos_every = 97;
-        base.seed = 0xD1CE;
-        let reference = run(&base).unwrap();
-        assert!(reference.faults_applied > 0, "chaos must land on a warm predictor");
+        for d in BACKEND_REGISTRY {
+            let mut base = SupervisorConfig::new(&trace, d.kind);
+            base.chaos_every = 97;
+            base.seed = 0xD1CE;
+            let reference = run(&base).unwrap();
+            assert!(reference.faults_applied > 0, "chaos must land on a warm {}", d.name);
 
-        let ckpt_dir = dir.join("ckpts");
-        let mut cfg = base.clone();
-        cfg.checkpoint_dir = Some(ckpt_dir.clone());
-        cfg.checkpoint_every = 300;
-        cfg.kill_after = Some(2_500);
-        assert!(run(&cfg).unwrap().killed);
+            let ckpt_dir = dir.join(d.name);
+            let mut cfg = base.clone();
+            cfg.checkpoint_dir = Some(ckpt_dir.clone());
+            cfg.checkpoint_every = 300;
+            cfg.kill_after = Some(2_500);
+            assert!(run(&cfg).unwrap().killed);
 
-        let mut cfg2 = base.clone();
-        cfg2.checkpoint_dir = Some(ckpt_dir);
-        cfg2.resume = Resume::Auto;
-        let resumed = run(&cfg2).unwrap();
-        assert_stats_eq(&resumed.stats, &reference.stats);
-        // The resumed process replays the chaos stream from the checkpoint
-        // onward (it overlaps the killed run between its last checkpoint
-        // and the kill point, so the counts don't partition — only the
-        // final state matters, and that is bit-identical above).
-        assert!(resumed.faults_applied > 0);
+            let mut cfg2 = base.clone();
+            cfg2.checkpoint_dir = Some(ckpt_dir);
+            cfg2.resume = Resume::Auto;
+            let resumed = run(&cfg2).unwrap();
+            assert_stats_eq(&resumed.stats, &reference.stats);
+            // The resumed run replays chaos from its checkpoint on,
+            // overlapping the killed run, so the fault counts do not add
+            // up; only the final state (bit-identical above) must match.
+            assert!(resumed.faults_applied > 0, "{}", d.name);
+        }
 
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint from before the layout version: meta held the
+    /// supervisor's own tag (0 = stride, 1 = cap, 2 = hybrid) first, and
+    /// the predictor section led with the same tag. Under the registry's
+    /// tags an old stride checkpoint's 0 would name the hybrid, so every
+    /// such archive must be refused, whatever the run asks for. Seeds 0
+    /// and 2^24 make an old hybrid meta start with the bytes of version 2.
+    #[test]
+    fn checkpoints_without_a_layout_version_are_refused() {
+        let identity = TraceId {
+            len: 4_096,
+            head_crc: 0xDEAD_BEEF,
+        };
+        let old_tags = [
+            (0u8, BackendKind::Stride),
+            (1, BackendKind::Cap),
+            (2, BackendKind::Hybrid),
+        ];
+        for seed in [0, 0x0CA9_5EED, 1 << 24] {
+            for (old_tag, old_kind) in old_tags {
+                let mut config = SupervisorConfig::new("trace.txt", old_kind);
+                config.seed = seed;
+                let state = RunState::fresh(&config);
+
+                let mut meta = SectionWriter::new();
+                meta.put_u8(old_tag);
+                meta.put_u64(seed);
+                meta.put_u64(identity.len);
+                meta.put_u32(identity.head_crc);
+                let mut predictor = SectionWriter::new();
+                predictor.put_u8(old_tag);
+                state.predictor.write_state(&mut predictor);
+                let mut b = SnapshotBuilder::new();
+                b.add_raw(SEC_META, meta.into_bytes());
+                b.add_raw(SEC_PREDICTOR, predictor.into_bytes());
+                b.add(SEC_CONTROL, &state.control);
+                b.add(SEC_STATS, &state.stats);
+                b.add(SEC_RNG, &state.rng);
+                b.add(SEC_CURSOR, &state.pos);
+                let old = b.finish();
+
+                // Today's layout of the same state decodes.
+                let current = encode_checkpoint(&config, identity, &state);
+                assert!(decode_checkpoint(&current, &config, identity).is_ok());
+
+                for d in BACKEND_REGISTRY {
+                    config.kind = d.kind;
+                    // Refused in the meta section, before any predictor decodes.
+                    match decode_checkpoint(&old, &config, identity) {
+                        Err(SupervisorError::Snapshot(e)) if e.section() == Some(SEC_META) => {}
+                        Err(e) => panic!("old tag {old_tag} at {seed:#x} as {}: {e}", d.name),
+                        Ok(_) => panic!("old tag {old_tag} at {seed:#x} decoded as {}", d.name),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1180,13 +1117,13 @@ mod tests {
         let trace = write_temp_trace(&dir, 2_000);
         let ckpt_dir = dir.join("ckpts");
 
-        let mut cfg = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
+        let mut cfg = SupervisorConfig::new(&trace, BackendKind::Hybrid);
         cfg.checkpoint_dir = Some(ckpt_dir.clone());
         cfg.checkpoint_every = 500;
         run(&cfg).unwrap();
 
         // Wrong predictor kind.
-        let mut wrong_kind = SupervisorConfig::new(&trace, PredictorKind::Stride);
+        let mut wrong_kind = SupervisorConfig::new(&trace, BackendKind::Stride);
         wrong_kind.checkpoint_dir = Some(ckpt_dir.clone());
         wrong_kind.resume = Resume::Auto;
         assert!(matches!(
@@ -1195,7 +1132,7 @@ mod tests {
         ));
 
         // Wrong seed.
-        let mut wrong_seed = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
+        let mut wrong_seed = SupervisorConfig::new(&trace, BackendKind::Hybrid);
         wrong_seed.checkpoint_dir = Some(ckpt_dir.clone());
         wrong_seed.resume = Resume::Auto;
         wrong_seed.seed = 1;
@@ -1208,7 +1145,7 @@ mod tests {
         // head CRC changes).
         let other = dir.join("other-trace.txt");
         fs::write(&other, fs::read(&trace).unwrap().split_off(10)).unwrap();
-        let mut wrong_trace = SupervisorConfig::new(&other, PredictorKind::Hybrid);
+        let mut wrong_trace = SupervisorConfig::new(&other, BackendKind::Hybrid);
         wrong_trace.checkpoint_dir = Some(ckpt_dir);
         wrong_trace.resume = Resume::Auto;
         assert!(matches!(
@@ -1306,7 +1243,7 @@ mod tests {
         // Uninterrupted instrumented run: the registry's pred.* counters
         // are views over the same arithmetic as PredictorStats.
         let registry = std::sync::Arc::new(cap_obs::Registry::new());
-        let mut cfg = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
+        let mut cfg = SupervisorConfig::new(&trace, BackendKind::Hybrid);
         cfg.checkpoint_dir = Some(ckpt_dir.clone());
         cfg.checkpoint_every = 512;
         cfg.obs = registry.obs();
@@ -1356,15 +1293,5 @@ mod tests {
         // RetryError delegates to whatever kept failing underneath.
         let exhausted: RetryError<io::Error> = RetryError::Exhausted(io::Error::other("x"));
         assert_eq!(exhausted.error_class(), ErrorClass::Transient);
-    }
-
-    #[test]
-    fn predictor_kind_names_roundtrip() {
-        for kind in [PredictorKind::Stride, PredictorKind::Cap, PredictorKind::Hybrid] {
-            assert_eq!(PredictorKind::parse(kind.name()), Some(kind));
-            assert_eq!(PredictorKind::from_tag(kind.tag()), Some(kind));
-        }
-        assert_eq!(PredictorKind::parse("nonsense"), None);
-        assert_eq!(PredictorKind::from_tag(9), None);
     }
 }

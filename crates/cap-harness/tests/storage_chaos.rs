@@ -15,8 +15,9 @@
 
 use cap_faults::fs::{ChaosVfs, FsFaultConfig, RealVfs};
 use cap_harness::checkpoint::list_journals_with;
-use cap_harness::supervisor::{run, PredictorKind, Resume, RetryPolicy, SupervisorConfig};
+use cap_harness::supervisor::{run, Resume, RetryPolicy, SupervisorConfig};
 use cap_predictor::metrics::PredictorStats;
+use cap_service::backend::BackendKind;
 use cap_trace::io::write_trace;
 use cap_trace::suites::catalog;
 use std::fs;
@@ -66,7 +67,7 @@ fn no_retry() -> RetryPolicy {
 /// RNG stream is load-bearing. The checkpoint directory is a virtual
 /// path — it exists only inside the [`ChaosVfs`].
 fn chaos_config(trace: &Path, vfs: &ChaosVfs) -> SupervisorConfig {
-    let mut cfg = SupervisorConfig::new(trace, PredictorKind::Hybrid);
+    let mut cfg = SupervisorConfig::new(trace, BackendKind::Hybrid);
     cfg.checkpoint_dir = Some(PathBuf::from("/vchaos/ckpts"));
     cfg.checkpoint_every = 300;
     cfg.journal_flush_every = 60;
@@ -86,7 +87,7 @@ fn crash_point_matrix(tag: &str, faults: FsFaultConfig) {
 
     // Control: one uninterrupted run with the same predictor chaos but
     // no storage at all. Storage must never influence the simulation.
-    let mut control_cfg = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
+    let mut control_cfg = SupervisorConfig::new(&trace, BackendKind::Hybrid);
     control_cfg.chaos_every = 97;
     control_cfg.seed = 0xD1CE;
     let control = run(&control_cfg).expect("control run");
@@ -154,11 +155,11 @@ fn journal_replay_resumes_bit_identical_to_uninterrupted_twin() {
     let dir = temp_dir("twin");
     let trace = write_temp_trace(&dir, 4_000);
 
-    let reference = run(&SupervisorConfig::new(&trace, PredictorKind::Hybrid)).expect("reference");
+    let reference = run(&SupervisorConfig::new(&trace, BackendKind::Hybrid)).expect("reference");
     assert!(reference.events > 3_000, "trace must outlive the kill point");
 
     let ckpt_dir = dir.join("ckpts");
-    let mut cfg = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
+    let mut cfg = SupervisorConfig::new(&trace, BackendKind::Hybrid);
     cfg.checkpoint_dir = Some(ckpt_dir.clone());
     cfg.checkpoint_every = 512;
     cfg.journal_flush_every = 64;
@@ -167,7 +168,7 @@ fn journal_replay_resumes_bit_identical_to_uninterrupted_twin() {
     assert!(killed.killed);
     assert!(killed.journal_appended > 0, "the gap past the checkpoint must be journaled");
 
-    let mut cfg2 = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
+    let mut cfg2 = SupervisorConfig::new(&trace, BackendKind::Hybrid);
     cfg2.checkpoint_dir = Some(ckpt_dir);
     cfg2.checkpoint_every = 512;
     cfg2.journal_flush_every = 64;
@@ -188,10 +189,10 @@ fn journal_replay_resumes_bit_identical_to_uninterrupted_twin() {
 fn torn_tail_case(tag: &str, mutate: impl FnOnce(&mut Vec<u8>)) {
     let dir = temp_dir(tag);
     let trace = write_temp_trace(&dir, 4_000);
-    let reference = run(&SupervisorConfig::new(&trace, PredictorKind::Hybrid)).expect("reference");
+    let reference = run(&SupervisorConfig::new(&trace, BackendKind::Hybrid)).expect("reference");
 
     let ckpt_dir = dir.join("ckpts");
-    let mut cfg = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
+    let mut cfg = SupervisorConfig::new(&trace, BackendKind::Hybrid);
     cfg.checkpoint_dir = Some(ckpt_dir.clone());
     cfg.checkpoint_every = 512;
     cfg.journal_flush_every = 64;
@@ -205,7 +206,7 @@ fn torn_tail_case(tag: &str, mutate: impl FnOnce(&mut Vec<u8>)) {
     mutate(&mut bytes);
     fs::write(&live, &bytes).expect("write damaged journal");
 
-    let mut cfg2 = SupervisorConfig::new(&trace, PredictorKind::Hybrid);
+    let mut cfg2 = SupervisorConfig::new(&trace, BackendKind::Hybrid);
     cfg2.checkpoint_dir = Some(ckpt_dir);
     cfg2.checkpoint_every = 512;
     cfg2.journal_flush_every = 64;

@@ -68,6 +68,10 @@ impl Restorable for ControlState {
     }
 }
 
+/// Wrong-path loads a [`Session::wrong_path`] branch fetches before the
+/// flush.
+const WRONG_PATH_DEPTH: usize = 6;
+
 /// One in-flight load awaiting resolution in the gap pipeline.
 #[derive(Debug, Clone)]
 struct Pending {
@@ -114,8 +118,6 @@ pub struct Session<'p, P: AddressPredictor + ?Sized> {
     predictor: &'p mut P,
     gap: usize,
     wrong_path_percent: u32,
-    wrong_path_depth: usize,
-    recovery: bool,
     values: bool,
     obs: Obs,
 }
@@ -128,8 +130,6 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
             predictor,
             gap: 0,
             wrong_path_percent: 0,
-            wrong_path_depth: 6,
-            recovery: false,
             values: false,
             obs: Obs::off(),
         }
@@ -158,29 +158,14 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
     /// branch, with probability `percent`/100 (deterministic in the
     /// branch IP and position; values above 100 clamp to 100), the
     /// front end is assumed to have fetched down the wrong path and the
-    /// next few loads are presented to the predictor with wrong-path
-    /// addresses before the flush. Statistics count only correct-path
-    /// loads. See [`Session::wrong_path_depth`] and
-    /// [`Session::recovery`].
+    /// next six loads (`WRONG_PATH_DEPTH`) are predicted *and*
+    /// destructively updated with wrong-path addresses before the flush
+    /// — the hazard the paper says a reorder-buffer-like recovery
+    /// mechanism must prevent. Statistics count only correct-path loads.
+    /// Perfect recovery undoes everything the wrong path did, so a
+    /// session without `wrong_path` models it.
     pub fn wrong_path(mut self, percent: u32) -> Self {
         self.wrong_path_percent = percent.min(100);
-        self
-    }
-
-    /// How many wrong-path loads are fetched before the flush
-    /// (default 6). Only meaningful with [`Session::wrong_path`].
-    pub fn wrong_path_depth(mut self, depth: usize) -> Self {
-        self.wrong_path_depth = depth;
-        self
-    }
-
-    /// Models the reorder-buffer-like recovery mechanism: everything
-    /// the wrong path did to the predictor is undone (modelled as the
-    /// wrong-path loads not touching it at all). Without recovery (the
-    /// default), wrong-path loads are predicted *and* destructively
-    /// updated — the hazard the paper says recovery must prevent.
-    pub fn recovery(mut self, enabled: bool) -> Self {
-        self.recovery = enabled;
         self
     }
 
@@ -355,14 +340,13 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
                         % 100;
                     if b.kind == BranchKind::Conditional
                         && (roll as u32) < self.wrong_path_percent
-                        && !self.recovery
                     {
                         // Wrong path: the next few static loads are fetched
-                        // with wrong-path addresses, predicted, and (without
-                        // recovery) destructively resolved before the flush.
+                        // with wrong-path addresses, predicted, and
+                        // destructively resolved before the flush.
                         let mut injected = 0;
                         for e in events[i + 1..].iter() {
-                            if injected >= self.wrong_path_depth {
+                            if injected >= WRONG_PATH_DEPTH {
                                 break;
                             }
                             if let TraceEvent::Load(l) = e {
@@ -498,10 +482,7 @@ mod tests {
     fn wrong_path_pollution_hurts_without_recovery() {
         let trace = cap_trace::suites::catalog()[2].generate(30_000);
         let mut clean = small_hybrid();
-        let with_recovery = Session::new(&mut clean)
-            .wrong_path(10)
-            .recovery(true)
-            .run(&trace);
+        let with_recovery = Session::new(&mut clean).run(&trace);
         let mut dirty = small_hybrid();
         let without = Session::new(&mut dirty).wrong_path(10).run(&trace);
         assert!(
@@ -510,20 +491,6 @@ mod tests {
             without.correct_spec_rate(),
             with_recovery.correct_spec_rate()
         );
-    }
-
-    #[test]
-    fn recovery_mode_equals_clean_run() {
-        let trace = cap_trace::suites::catalog()[0].generate(5_000);
-        let mut a = small_hybrid();
-        let clean = Session::new(&mut a).run(&trace);
-        let mut b = small_hybrid();
-        let recovered = Session::new(&mut b)
-            .wrong_path(25)
-            .wrong_path_depth(8)
-            .recovery(true)
-            .run(&trace);
-        assert_eq!(clean, recovered, "perfect recovery leaves no trace");
     }
 
     #[test]

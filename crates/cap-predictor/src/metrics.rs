@@ -234,21 +234,41 @@ impl PredictorStats {
     }
 
     /// Merges another accumulator into this one (suite-level averaging).
+    /// Saturates: each restored count may lie just below [`MAX_COUNT`],
+    /// and five of those overflow a `u64`.
     pub fn merge(&mut self, other: &PredictorStats) {
-        self.loads += other.loads;
-        self.predictions += other.predictions;
-        self.spec_accesses += other.spec_accesses;
-        self.correct_spec += other.correct_spec;
-        self.correct_predictions += other.correct_predictions;
-        self.both_predicted_spec += other.both_predicted_spec;
-        for (a, b) in self.selector_states.iter_mut().zip(&other.selector_states) {
-            *a += b;
+        let add = |a: &mut u64, b: u64| *a = a.saturating_add(b);
+        add(&mut self.loads, other.loads);
+        add(&mut self.predictions, other.predictions);
+        add(&mut self.spec_accesses, other.spec_accesses);
+        add(&mut self.correct_spec, other.correct_spec);
+        add(&mut self.correct_predictions, other.correct_predictions);
+        add(&mut self.both_predicted_spec, other.both_predicted_spec);
+        for (a, b) in self.selector_states.iter_mut().zip(other.selector_states) {
+            add(a, b);
         }
-        self.miss_selections += other.miss_selections;
+        add(&mut self.miss_selections, other.miss_selections);
     }
 }
 
 use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
+
+/// Restore ceiling on every count. No run comes near it, and it leaves
+/// the next run's `+= 1` three times that much headroom.
+pub const MAX_COUNT: u64 = 1 << 62;
+
+/// Reads a restored count and rejects one at or above [`MAX_COUNT`].
+///
+/// # Errors
+///
+/// A decode failure, or `BadValue` for a count at or above the ceiling.
+pub fn take_count(r: &mut SectionReader<'_>, what: &'static str) -> Result<u64, SnapshotError> {
+    let n = r.take_u64(what)?;
+    if n >= MAX_COUNT {
+        return Err(r.bad_value(format!("{what} {n} at or above {MAX_COUNT}")));
+    }
+    Ok(n)
+}
 
 impl Snapshot for PredictorStats {
     fn write_state(&self, w: &mut SectionWriter) {
@@ -268,18 +288,18 @@ impl Snapshot for PredictorStats {
 impl Restorable for PredictorStats {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         let mut stats = Self {
-            loads: r.take_u64("stats loads")?,
-            predictions: r.take_u64("stats predictions")?,
-            spec_accesses: r.take_u64("stats spec accesses")?,
-            correct_spec: r.take_u64("stats correct spec")?,
-            correct_predictions: r.take_u64("stats correct predictions")?,
-            both_predicted_spec: r.take_u64("stats both predicted spec")?,
+            loads: take_count(r, "stats loads")?,
+            predictions: take_count(r, "stats predictions")?,
+            spec_accesses: take_count(r, "stats spec accesses")?,
+            correct_spec: take_count(r, "stats correct spec")?,
+            correct_predictions: take_count(r, "stats correct predictions")?,
+            both_predicted_spec: take_count(r, "stats both predicted spec")?,
             ..Self::default()
         };
         for s in &mut stats.selector_states {
-            *s = r.take_u64("stats selector state")?;
+            *s = take_count(r, "stats selector state")?;
         }
-        stats.miss_selections = r.take_u64("stats miss selections")?;
+        stats.miss_selections = take_count(r, "stats miss selections")?;
         Ok(stats)
     }
 }
@@ -345,6 +365,37 @@ mod tests {
         assert_eq!(a.correct_spec, 13);
         assert_eq!(a.selector_states, [5, 5, 5, 5]);
         assert_eq!(a.miss_selections, 2);
+    }
+
+    #[test]
+    fn restored_counts_are_bounded() {
+        // The archive is the eleven counts; each restores just under the
+        // ceiling and is refused at it.
+        for i in 0..11 {
+            let payload = |n: u64| {
+                let mut w = SectionWriter::new();
+                (0..11).for_each(|j| w.put_u64(if j == i { n } else { 1 }));
+                w.into_bytes()
+            };
+            let bytes = payload(MAX_COUNT - 1);
+            let below = PredictorStats::from_payload(&bytes, "stats").expect("restores");
+            assert_eq!(below.to_payload(), bytes);
+            match PredictorStats::from_payload(&payload(MAX_COUNT), "stats") {
+                Err(SnapshotError::BadValue { .. }) => {}
+                other => panic!("count {i} at the ceiling: expected BadValue, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn merge_saturates_at_the_restore_ceiling() {
+        let ceiling = [(MAX_COUNT - 1).to_le_bytes(); 11].concat();
+        let ceiling = PredictorStats::from_payload(&ceiling, "stats").expect("restores");
+        let mut all = PredictorStats::new();
+        for _ in 0..5 {
+            all.merge(&ceiling);
+        }
+        assert_eq!(all.to_payload(), [u64::MAX.to_le_bytes(); 11].concat());
     }
 
     #[test]

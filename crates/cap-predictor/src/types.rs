@@ -138,21 +138,6 @@ pub trait AddressPredictor {
     }
 }
 
-/// A predictor that can be shared across service infrastructure as a
-/// trait object: it predicts, snapshots its state for warm restarts, and
-/// moves between threads.
-///
-/// Every concrete predictor in this crate gets this via the blanket
-/// impl; the point of the named trait is the **dyn-compatibility
-/// guarantee** — `Box<dyn SharedPredictor>` must keep compiling, so
-/// serving layers can hold heterogeneous backends behind one pointer
-/// instead of an enum per call site. (`Restorable` is deliberately not a
-/// supertrait: decoding is a constructor and constructors are not
-/// dyn-compatible; restore paths dispatch on a kind tag instead.)
-pub trait SharedPredictor: AddressPredictor + cap_snapshot::Snapshot + Send {}
-
-impl<T: AddressPredictor + cap_snapshot::Snapshot + Send> SharedPredictor for T {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,30 +161,6 @@ mod tests {
         };
         assert!(p.is_correct(0x40));
         assert!(!p.is_correct(0x44));
-    }
-
-    #[test]
-    fn shared_predictor_is_dyn_compatible() {
-        use crate::hybrid::{HybridConfig, HybridPredictor};
-        use crate::load_buffer::LoadBufferConfig;
-        use crate::stride::{StrideParams, StridePredictor};
-
-        let mut backends: Vec<Box<dyn SharedPredictor>> = vec![
-            Box::new(HybridPredictor::new(HybridConfig::paper_default())),
-            Box::new(StridePredictor::new(
-                LoadBufferConfig::paper_default(),
-                StrideParams::paper_default(),
-            )),
-        ];
-        let ctx = LoadContext::new(0x400, 0, 0);
-        for b in &mut backends {
-            let pred = b.predict(&ctx);
-            b.update(&ctx, 0x1000, &pred);
-            // The snapshot half is reachable through the same pointer.
-            let mut w = cap_snapshot::SectionWriter::new();
-            b.write_state(&mut w);
-            assert!(!w.is_empty());
-        }
     }
 
     #[test]

@@ -1,25 +1,33 @@
-//! Prediction backends as shareable trait objects, dispatched through
-//! one static registry.
+//! Prediction backends as trait objects, dispatched through one static
+//! registry.
 //!
-//! A worker holds its backends as `Box<dyn SharedPredictor>` — the
-//! dyn-compatibility contract [`cap_predictor::types::SharedPredictor`]
-//! guarantees — so the primary/fallback pair is data, not a hardcoded
-//! enum. Every per-kind fact (CLI name, snapshot tag, constructor,
-//! snapshot decoder) lives in exactly one row of [`BACKEND_REGISTRY`];
-//! the [`BackendKind`] methods are thin lookups over it, which is why
-//! registering a new backend is a one-row edit and why nothing outside
-//! this module is allowed to `match` on `BackendKind` (enforced by the
-//! root `tests/repo_invariants.rs`). Restore paths decode through
-//! [`BackendKind`] tags because `Restorable` is a constructor and
-//! cannot ride on the trait object.
+//! A service worker holds its primary and fallback as `Box<dyn Backend>`,
+//! and so does a supervised `simulate run`, so the paper's three
+//! predictors are data, not a hardcoded enum. Every per-kind fact (CLI
+//! name, snapshot tag, constructor, snapshot decoder) lives in exactly
+//! one row of [`BACKEND_REGISTRY`]; the [`BackendKind`] methods are thin
+//! lookups over it, which is why registering a new backend is a one-row
+//! edit and why nothing outside this module is allowed to `match` on
+//! `BackendKind` (enforced by the root `tests/repo_invariants.rs`).
+//! Restore paths decode through [`BackendKind`] tags because
+//! `Restorable` is a constructor and cannot ride on the trait object.
 
+use cap_faults::target::FaultTarget;
 use cap_predictor::cap::{CapConfig, CapPredictor};
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
 use cap_predictor::load_buffer::LoadBufferConfig;
 use cap_predictor::stride::{StrideParams, StridePredictor};
-use cap_predictor::types::SharedPredictor;
-use cap_snapshot::{Restorable, SectionReader, SnapshotError};
+use cap_predictor::types::AddressPredictor;
+use cap_snapshot::{Restorable, SectionReader, Snapshot, SnapshotError};
 use std::fmt;
+
+/// What a registry row builds: a predictor that snapshots its state,
+/// takes injected faults, and moves between threads. Every in-tree
+/// predictor gets it from the blanket impl, and the rows compile only
+/// while it stays dyn-compatible.
+pub trait Backend: AddressPredictor + Snapshot + FaultTarget + Send {}
+
+impl<T: AddressPredictor + Snapshot + FaultTarget + Send> Backend for T {}
 
 /// Which concrete predictor a backend slot holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,9 +51,9 @@ pub struct BackendDescriptor {
     /// Snapshot tag (stable across releases — never reuse a value).
     pub tag: u8,
     /// Builds a fresh paper-default instance.
-    pub build: fn() -> Box<dyn SharedPredictor>,
+    pub build: fn() -> Box<dyn Backend>,
     /// Decodes an instance from a snapshot section.
-    pub restore: fn(&mut SectionReader<'_>) -> Result<Box<dyn SharedPredictor>, SnapshotError>,
+    pub restore: fn(&mut SectionReader<'_>) -> Result<Box<dyn Backend>, SnapshotError>,
 }
 
 impl fmt::Debug for BackendDescriptor {
@@ -58,24 +66,24 @@ impl fmt::Debug for BackendDescriptor {
     }
 }
 
-fn build_hybrid() -> Box<dyn SharedPredictor> {
+fn build_hybrid() -> Box<dyn Backend> {
     Box::new(HybridPredictor::new(HybridConfig::paper_default()))
 }
 
-fn build_cap() -> Box<dyn SharedPredictor> {
+fn build_cap() -> Box<dyn Backend> {
     Box::new(CapPredictor::new(CapConfig::paper_default()))
 }
 
-fn build_stride() -> Box<dyn SharedPredictor> {
+fn build_stride() -> Box<dyn Backend> {
     Box::new(StridePredictor::new(
         LoadBufferConfig::paper_default(),
         StrideParams::paper_default(),
     ))
 }
 
-fn restore_boxed<P: SharedPredictor + Restorable + 'static>(
+fn restore_boxed<P: Backend + Restorable + 'static>(
     r: &mut SectionReader<'_>,
-) -> Result<Box<dyn SharedPredictor>, SnapshotError> {
+) -> Result<Box<dyn Backend>, SnapshotError> {
     Ok(Box::new(P::read_state(r)?))
 }
 
@@ -192,7 +200,7 @@ impl BackendKind {
 
     /// A fresh paper-default backend of this kind.
     #[must_use]
-    pub fn build(self) -> Box<dyn SharedPredictor> {
+    pub fn build(self) -> Box<dyn Backend> {
         (self.descriptor().build)()
     }
 
@@ -201,10 +209,7 @@ impl BackendKind {
     /// # Errors
     ///
     /// Propagates decode failures from the underlying predictor.
-    pub fn restore(
-        self,
-        r: &mut SectionReader<'_>,
-    ) -> Result<Box<dyn SharedPredictor>, SnapshotError> {
+    pub fn restore(self, r: &mut SectionReader<'_>) -> Result<Box<dyn Backend>, SnapshotError> {
         (self.descriptor().restore)(r)
     }
 }

@@ -19,7 +19,7 @@
 //! reply** — a response or a structured error — no matter what panics,
 //! stalls, or deadline expiries happen on the way.
 
-use crate::backend::BackendKind;
+use crate::backend::{Backend, BackendKind};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::error::ServiceError;
 use crate::ladder::{Ladder, LadderConfig, LadderInputs, Rung};
@@ -27,7 +27,7 @@ use crate::names;
 use cap_obs::Obs;
 use cap_faults::service::{ServiceFault, ServiceFaultConfig, ServiceFaultPlan};
 use cap_predictor::metrics::PredictorStats;
-use cap_predictor::types::{LoadContext, Prediction, SharedPredictor};
+use cap_predictor::types::{LoadContext, Prediction};
 use cap_snapshot::{
     Restorable, SectionReader, SectionWriter, Snapshot, SnapshotArchive, SnapshotBuilder,
 };
@@ -453,7 +453,7 @@ impl ServiceHandle {
 
 struct Slot {
     kind: BackendKind,
-    backend: Box<dyn SharedPredictor>,
+    backend: Box<dyn Backend>,
     breaker: CircuitBreaker,
 }
 

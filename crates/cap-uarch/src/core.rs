@@ -44,7 +44,7 @@ use crate::hierarchy::{LatencyConfig, MemoryHierarchy};
 use crate::names;
 use cap_obs::Obs;
 use cap_predictor::drive::ControlState;
-use cap_predictor::metrics::PredictorStats;
+use cap_predictor::metrics::{take_count, PredictorStats};
 use cap_predictor::types::{AddressPredictor, LoadContext, Prediction};
 use cap_trace::{RegId, Trace, TraceEvent};
 use std::collections::{HashMap, VecDeque};
@@ -516,10 +516,10 @@ impl Restorable for CoreStats {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         let stats = Self {
             cycles: r.take_u64("stats cycles")?,
-            instructions: r.take_u64("stats instructions")?,
-            loads: r.take_u64("stats loads")?,
-            branch_mispredicts: r.take_u64("stats branch mispredicts")?,
-            prefetches: r.take_u64("stats prefetches")?,
+            instructions: take_count(r, "stats instructions")?,
+            loads: take_count(r, "stats loads")?,
+            branch_mispredicts: take_count(r, "stats branch mispredicts")?,
+            prefetches: take_count(r, "stats prefetches")?,
             l1_hit_rate: f64::from_bits(r.take_u64("stats l1 hit rate")?),
             pred: PredictorStats::read_state(r)?,
         };
@@ -1010,6 +1010,29 @@ mod tests {
             }
             // One cycle under the span ceiling still restores.
             assert!(restore_with(floor + MAX_SPAN - 1).is_ok(), "{field}");
+        }
+    }
+
+    #[test]
+    fn hostile_restored_counts_are_rejected() {
+        use cap_predictor::metrics::MAX_COUNT;
+        use cap_snapshot::{Restorable, Snapshot, SnapshotError};
+        let counts: [fn(&mut CoreStats, u64); 5] = [
+            |s, n| s.instructions = n,
+            |s, n| s.loads = n,
+            |s, n| s.branch_mispredicts = n,
+            |s, n| s.prefetches = n,
+            |s, n| s.pred.loads = n,
+        ];
+        for (i, set) in counts.into_iter().enumerate() {
+            let restore_with = |n| {
+                let mut stats = CoreStats::default();
+                set(&mut stats, n);
+                CoreStats::from_payload(&stats.to_payload(), "stats")
+            };
+            assert!(restore_with(MAX_COUNT - 1).is_ok(), "count {i}");
+            let refused = restore_with(MAX_COUNT);
+            assert!(matches!(refused, Err(SnapshotError::BadValue { .. })), "count {i}");
         }
     }
 

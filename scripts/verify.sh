@@ -7,8 +7,8 @@
 #
 # Usage: scripts/verify.sh [all|cluster|netchaos|bench|backends]
 #   all      (default) release build, the test suite, clippy, the
-#            quickstart and corruption-smoke examples, then every gate
-#            below
+#            quickstart and corruption-smoke examples, a perfbench
+#            build, then every gate below
 #   cluster  a 3-node fleet behind the router: one node killed under
 #            traffic, the keeper promotes a respawned replacement from
 #            its shipped replica, the ledger still balances and the
@@ -134,6 +134,11 @@ core_gates() {
 
     step "faults: 1k-mutation corruption smoke"
     cargo run -q --release --offline -p cap-faults --example corruption_smoke
+
+    # perfbench is a workspace of its own, so the steps above never
+    # compile it; an API change in a crate it imports breaks only here.
+    step "perfbench builds (its own workspace)"
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 # The cluster gate: 3 nodes behind the router front door, one killed

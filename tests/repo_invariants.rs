@@ -166,9 +166,12 @@ fn checkpoint_and_journal_reach_disk_only_through_the_vfs() {
 /// Adding a backend stays a one-row registry edit: nothing outside
 /// `cap-service/src/backend.rs` matches on `BackendKind`, on one line
 /// (`match kind { BackendKind::… }`) or as an arm (`BackendKind::… =>`).
+/// The same goes for `PredictorKind`, the supervisor's old name for it,
+/// so the alias cannot carry a second table back.
 #[test]
 fn backend_kind_is_matched_only_in_the_registry() {
     let registry = root().join("crates/cap-service/src/backend.rs");
+    let kinds = ["BackendKind", "PredictorKind"];
     let mut violations = Vec::new();
     for dir in ["crates", "src", "examples"] {
         for file in rust_files(&root().join(dir)) {
@@ -178,10 +181,10 @@ fn backend_kind_is_matched_only_in_the_registry() {
             for (n, line) in numbered_lines(&file) {
                 let one_line = line
                     .split_once("match ")
-                    .is_some_and(|(_, rest)| rest.contains("BackendKind"));
-                let arm = line
-                    .split_once("=>")
-                    .is_some_and(|(pattern, _)| pattern.contains("BackendKind::"));
+                    .is_some_and(|(_, rest)| kinds.iter().any(|k| rest.contains(k)));
+                let arm = line.split_once("=>").is_some_and(|(pattern, _)| {
+                    kinds.iter().any(|k| pattern.contains(&format!("{k}::")))
+                });
                 if one_line || arm {
                     violations.push(locate(&file, n, &line));
                 }
@@ -189,7 +192,7 @@ fn backend_kind_is_matched_only_in_the_registry() {
         }
     }
     assert_clean(
-        "BackendKind is matched outside crates/cap-service/src/backend.rs",
+        "BackendKind or PredictorKind is matched outside crates/cap-service/src/backend.rs",
         &violations,
     );
 }
