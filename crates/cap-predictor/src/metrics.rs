@@ -258,11 +258,7 @@ use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotE
 pub const MAX_COUNT: u64 = 1 << 62;
 
 /// Reads a restored count and rejects one at or above [`MAX_COUNT`].
-///
-/// # Errors
-///
-/// A decode failure, or `BadValue` for a count at or above the ceiling.
-pub fn take_count(r: &mut SectionReader<'_>, what: &'static str) -> Result<u64, SnapshotError> {
+fn take_count(r: &mut SectionReader<'_>, what: &'static str) -> Result<u64, SnapshotError> {
     let n = r.take_u64(what)?;
     if n >= MAX_COUNT {
         return Err(r.bad_value(format!("{what} {n} at or above {MAX_COUNT}")));

@@ -4,7 +4,7 @@
 //! that state a durable form: a `magic | format-version | sections`
 //! container ([`SnapshotArchive`]) where every section's payload carries a
 //! CRC-32, and a [`Snapshot`]/[`Restorable`] trait pair that the predictor
-//! and microarchitecture crates implement for their types.
+//! and trace crates implement for their types.
 //!
 //! Two guarantees define the crate:
 //!

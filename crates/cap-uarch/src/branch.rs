@@ -173,85 +173,6 @@ impl BranchPredictor for HybridBranchPredictor {
     }
 }
 
-use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
-
-fn write_counters(table: &[Counter2], w: &mut SectionWriter) {
-    w.put_len(table.len());
-    for c in table {
-        w.put_u8(c.0);
-    }
-}
-
-fn read_counters(r: &mut SectionReader<'_>) -> Result<Vec<Counter2>, SnapshotError> {
-    let len = r.take_len(1, "branch counter table length")?;
-    if len == 0 || !len.is_power_of_two() {
-        return Err(r.bad_value(format!("branch table length {len} not a power of two")));
-    }
-    let mut table = Vec::with_capacity(len);
-    for _ in 0..len {
-        let v = r.take_u8("branch counter")?;
-        if v > 3 {
-            return Err(r.bad_value(format!("2-bit branch counter holds {v}")));
-        }
-        table.push(Counter2(v));
-    }
-    Ok(table)
-}
-
-impl Snapshot for Bimodal {
-    fn write_state(&self, w: &mut SectionWriter) {
-        write_counters(&self.table, w);
-    }
-}
-
-impl Restorable for Bimodal {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            table: read_counters(r)?,
-        })
-    }
-}
-
-impl Snapshot for Gshare {
-    fn write_state(&self, w: &mut SectionWriter) {
-        write_counters(&self.table, w);
-        w.put_u32(self.history_bits);
-    }
-}
-
-impl Restorable for Gshare {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let table = read_counters(r)?;
-        let history_bits = r.take_u32("gshare history bits")?;
-        // index() shifts 1u64 by this amount.
-        if history_bits > 63 {
-            return Err(r.bad_value(format!("gshare history bits {history_bits} above 63")));
-        }
-        Ok(Self {
-            table,
-            history_bits,
-        })
-    }
-}
-
-impl Snapshot for HybridBranchPredictor {
-    fn write_state(&self, w: &mut SectionWriter) {
-        self.bimodal.write_state(w);
-        self.gshare.write_state(w);
-        write_counters(&self.choice, w);
-    }
-}
-
-impl Restorable for HybridBranchPredictor {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            bimodal: Bimodal::read_state(r)?,
-            gshare: Gshare::read_state(r)?,
-            choice: read_counters(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -84,8 +84,7 @@ pub struct Cache {
     tick: u64,
     hits: u64,
     misses: u64,
-    /// Valid lines, tracked incrementally (derived from `lines`, so it is
-    /// recomputed on restore rather than snapshotted).
+    /// Valid lines, tracked incrementally.
     live: u64,
 }
 
@@ -98,34 +97,22 @@ impl Cache {
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
+        let sets = config.sets();
         let empty = Line {
             tag: 0,
             lru: 0,
             valid: false,
         };
-        Self::with_lines(config, vec![empty; config.sets() * config.assoc], 0, 0, 0)
-    }
-
-    /// Assembles a cache from its lines and counters; the address split
-    /// and the live-line count are derived.
-    fn with_lines(
-        config: CacheConfig,
-        lines: Vec<Line>,
-        tick: u64,
-        hits: u64,
-        misses: u64,
-    ) -> Self {
-        let sets = config.sets();
         Self {
+            config,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: sets - 1,
             tag_shift: sets.trailing_zeros(),
-            live: lines.iter().filter(|l| l.valid).count() as u64,
-            config,
-            lines,
-            tick,
-            hits,
-            misses,
+            lines: vec![empty; sets * config.assoc],
+            tick: 0,
+            hits: 0,
+            misses: 0,
+            live: 0,
         }
     }
 
@@ -194,92 +181,6 @@ impl Cache {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-}
-
-use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
-
-impl Snapshot for CacheConfig {
-    fn write_state(&self, w: &mut SectionWriter) {
-        w.put_len(self.size_bytes);
-        w.put_len(self.line_bytes);
-        w.put_len(self.assoc);
-    }
-}
-
-impl Restorable for CacheConfig {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let size_bytes = r.take_u64("cache size bytes")?;
-        let line_bytes = r.take_u64("cache line bytes")?;
-        let assoc = r.take_u64("cache associativity")?;
-        // Mirror CacheConfig::validate without panics, with an allocation
-        // ceiling on the total line count.
-        if line_bytes == 0 || !line_bytes.is_power_of_two() {
-            return Err(r.bad_value(format!("cache line bytes {line_bytes} not a power of two")));
-        }
-        if assoc == 0 {
-            return Err(r.bad_value("cache associativity is zero".to_string()));
-        }
-        let way_bytes = line_bytes.checked_mul(assoc);
-        let sets = match way_bytes {
-            Some(wb) if wb > 0 && size_bytes % wb == 0 => size_bytes / wb,
-            _ => {
-                return Err(r.bad_value(format!(
-                    "cache size {size_bytes} not divisible by line {line_bytes} x assoc {assoc}"
-                )))
-            }
-        };
-        if !sets.is_power_of_two() {
-            return Err(r.bad_value(format!("cache set count {sets} not a power of two")));
-        }
-        match sets.checked_mul(assoc) {
-            Some(lines) if lines <= 1 << 26 => {}
-            _ => {
-                return Err(SnapshotError::WidthOverflow {
-                    section: r.section().to_string(),
-                    what: "cache line count",
-                    value: sets.saturating_mul(assoc),
-                    limit: 1 << 26,
-                })
-            }
-        }
-        Ok(Self {
-            size_bytes: size_bytes as usize,
-            line_bytes: line_bytes as usize,
-            assoc: assoc as usize,
-        })
-    }
-}
-
-impl Snapshot for Cache {
-    fn write_state(&self, w: &mut SectionWriter) {
-        self.config.write_state(w);
-        w.put_u64(self.tick);
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-        for line in &self.lines {
-            w.put_u64(line.tag);
-            w.put_u64(line.lru);
-            w.put_bool(line.valid);
-        }
-    }
-}
-
-impl Restorable for Cache {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let config = CacheConfig::read_state(r)?;
-        let tick = r.take_u64("cache tick")?;
-        let hits = r.take_u64("cache hits")?;
-        let misses = r.take_u64("cache misses")?;
-        let mut lines = Vec::with_capacity(config.sets() * config.assoc);
-        for _ in 0..config.sets() * config.assoc {
-            lines.push(Line {
-                tag: r.take_u64("cache line tag")?,
-                lru: r.take_u64("cache line lru")?,
-                valid: r.take_bool("cache line valid")?,
-            });
-        }
-        Ok(Self::with_lines(config, lines, tick, hits, misses))
     }
 }
 

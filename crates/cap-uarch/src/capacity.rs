@@ -22,19 +22,8 @@
 //! instruction moves the latest commit by at most `frontend + redirect +
 //! agen + replay` plus its longest latency (memory, or a 20-cycle divide),
 //! 87 cycles at the paper's values, plus spills past full cycles. A window
-//! therefore stays below about `8192 + rob_entries` times that sum:
-//!
-//! * 0.72 M cycles (2.8 MiB of counts) at the paper's values;
-//! * 10.6 M cycles (41 MiB) with a 128-entry ROB and every latency at the
-//!   256-cycle restore ceiling ([`crate::hierarchy::LatencyConfig`]).
-//!
-//! Both kinds snapshot the same payload: width, frontier, then `(cycle,
-//! count)` bookings. A restore rejects a frontier at or above `2^62`,
-//! which no simulation reaches, and any booking `2^24` or more cycles
-//! above the frontier, before it allocates. So a restored window holds at
-//! most 64 MiB, and booking past it cannot overflow a cycle number. The
-//! core's restore holds its other restored times to the same two ceilings
-//! ([`crate::core::OooCore`]).
+//! therefore stays below about `8192 + rob_entries` times that sum: 0.72 M
+//! cycles (2.8 MiB of counts) at the paper's values.
 
 use std::collections::VecDeque;
 
@@ -116,92 +105,6 @@ impl SlotTracker {
     pub fn width(&self) -> u32 {
         self.width
     }
-
-    /// The retire frontier: the floor of every request.
-    pub(crate) fn frontier(&self) -> u64 {
-        self.frontier
-    }
-}
-
-use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
-
-/// Restore ceiling on the frontier; no simulation reaches it.
-pub(crate) const MAX_FRONTIER: u64 = 1 << 62;
-/// Restore ceiling: a booking must lie fewer than this many cycles above
-/// the frontier.
-pub(crate) const MAX_SPAN: u64 = 1 << 24;
-
-/// Reads and checks a slot payload: width, frontier, then `(cycle,
-/// count)` bookings. Passes each booking at or above the frontier to
-/// `keep` as `(offset above the frontier, count)`, in payload order, and
-/// drops the rest: below the frontier a booking can never be read again.
-fn read_slots(
-    r: &mut SectionReader<'_>,
-    mut keep: impl FnMut(u64, u32),
-) -> Result<(u32, u64), SnapshotError> {
-    let width = r.take_u32("slot tracker width")?;
-    if width == 0 {
-        return Err(r.bad_value("slot tracker width is zero".to_string()));
-    }
-    let frontier = r.take_u64("slot tracker frontier")?;
-    if frontier >= MAX_FRONTIER {
-        return Err(r.bad_value(format!(
-            "slot tracker frontier {frontier} at or above {MAX_FRONTIER}"
-        )));
-    }
-    let len = r.take_len(12, "slot tracker booking count")?;
-    for _ in 0..len {
-        let cycle = r.take_u64("slot tracker cycle")?;
-        let count = r.take_u32("slot tracker booking")?;
-        if count > width {
-            return Err(r.bad_value(format!(
-                "slot tracker books {count} at cycle {cycle}, above width {width}"
-            )));
-        }
-        let Some(offset) = cycle.checked_sub(frontier) else {
-            continue;
-        };
-        if offset >= MAX_SPAN {
-            return Err(r.bad_value(format!(
-                "slot tracker booking at cycle {cycle} is {offset} cycles above \
-                 frontier {frontier} (limit {MAX_SPAN})"
-            )));
-        }
-        keep(offset, count);
-    }
-    Ok((width, frontier))
-}
-
-impl Snapshot for SlotTracker {
-    fn write_state(&self, w: &mut SectionWriter) {
-        w.put_u32(self.width);
-        w.put_u64(self.frontier);
-        // Booked cycles only, in cycle order.
-        let booked = || self.used.iter().enumerate().filter(|&(_, &n)| n > 0);
-        w.put_len(booked().count());
-        for (i, &used) in booked() {
-            w.put_u64(self.frontier + i as u64);
-            w.put_u32(used);
-        }
-    }
-}
-
-impl Restorable for SlotTracker {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let mut used = VecDeque::new();
-        let (width, frontier) = read_slots(r, |offset, count| {
-            let i = offset as usize;
-            if i >= used.len() {
-                used.resize(i + 1, 0);
-            }
-            used[i] = count;
-        })?;
-        Ok(Self {
-            width,
-            used,
-            frontier,
-        })
-    }
 }
 
 /// Books up to `width` events per cycle for an in-order stage: one whose
@@ -255,7 +158,7 @@ pub struct InOrderSlots {
     /// Slots booked in `cycle`.
     count: u32,
     /// The previous request, for the debug check that requests never
-    /// decrease. Not snapshotted.
+    /// decrease.
     last_request: u64,
 }
 
@@ -295,46 +198,6 @@ impl InOrderSlots {
             self.count = 1;
         }
         self.cycle
-    }
-
-    /// The latest booked cycle; with nothing booked, the floor of the next
-    /// booking.
-    pub(crate) fn cycle(&self) -> u64 {
-        self.cycle
-    }
-}
-
-impl Snapshot for InOrderSlots {
-    /// Written as a [`SlotTracker`] window that starts at the latest booked
-    /// cycle and holds its one booking.
-    fn write_state(&self, w: &mut SectionWriter) {
-        w.put_u32(self.width);
-        w.put_u64(self.cycle);
-        w.put_len(usize::from(self.count > 0));
-        if self.count > 0 {
-            w.put_u64(self.cycle);
-            w.put_u32(self.count);
-        }
-    }
-}
-
-impl Restorable for InOrderSlots {
-    /// Reads any [`SlotTracker`] window and keeps its latest booking, so a
-    /// window written by a pruned tracker restores too.
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let mut latest: Option<(u64, u32)> = None;
-        let (width, frontier) = read_slots(r, |offset, count| {
-            if count > 0 && latest.is_none_or(|(o, _)| offset >= o) {
-                latest = Some((offset, count));
-            }
-        })?;
-        let (offset, count) = latest.unwrap_or((0, 0));
-        Ok(Self {
-            width,
-            cycle: frontier + offset,
-            count,
-            last_request: 0,
-        })
     }
 }
 

@@ -39,12 +39,12 @@
 
 use crate::branch::{BranchPredictor, HybridBranchPredictor};
 use crate::cache::CacheConfig;
-use crate::capacity::{InOrderSlots, SlotTracker, MAX_FRONTIER, MAX_SPAN};
+use crate::capacity::{InOrderSlots, SlotTracker};
 use crate::hierarchy::{LatencyConfig, MemoryHierarchy};
 use crate::names;
 use cap_obs::Obs;
 use cap_predictor::drive::ControlState;
-use cap_predictor::metrics::{take_count, PredictorStats};
+use cap_predictor::metrics::PredictorStats;
 use cap_predictor::types::{AddressPredictor, LoadContext, Prediction};
 use cap_trace::{RegId, Trace, TraceEvent};
 use std::collections::{HashMap, VecDeque};
@@ -204,8 +204,7 @@ impl OooCore {
     /// the hierarchy, occupancy gauges (`uarch.rob.occupancy`,
     /// `uarch.*.live_lines`) are published at the periodic prune points
     /// and at end of run, and per-load prediction stats are mirrored
-    /// under the `pred.*` names. Not snapshotted — re-attach after a
-    /// restore.
+    /// under the `pred.*` names.
     pub fn set_obs(&mut self, obs: Obs) {
         self.mem.set_obs(obs.clone());
         self.obs = obs;
@@ -438,206 +437,6 @@ impl OooCore {
         self.stats.l1_hit_rate = self.mem.l1_hit_rate();
         self.stats.clone()
     }
-}
-
-use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
-
-impl Snapshot for CoreConfig {
-    fn write_state(&self, w: &mut SectionWriter) {
-        w.put_u32(self.width);
-        w.put_len(self.rob_entries);
-        w.put_u32(self.alu_units);
-        w.put_u32(self.mem_ports);
-        w.put_u32(self.frontend_latency);
-        w.put_u32(self.redirect_penalty);
-        w.put_u32(self.agen_latency);
-        w.put_u32(self.replay_penalty);
-        w.put_bool(self.prefetch);
-        self.l1.write_state(w);
-        self.l2.write_state(w);
-        self.latency.write_state(w);
-    }
-}
-
-impl Restorable for CoreConfig {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let width = r.take_u32("core width")?;
-        let rob_entries = r.take_u64("core rob entries")?;
-        let config = Self {
-            width,
-            rob_entries: rob_entries as usize,
-            alu_units: r.take_u32("core alu units")?,
-            mem_ports: r.take_u32("core mem ports")?,
-            frontend_latency: r.take_u32("core frontend latency")?,
-            redirect_penalty: r.take_u32("core redirect penalty")?,
-            agen_latency: r.take_u32("core agen latency")?,
-            replay_penalty: r.take_u32("core replay penalty")?,
-            prefetch: r.take_bool("core prefetch")?,
-            l1: CacheConfig::read_state(r)?,
-            l2: CacheConfig::read_state(r)?,
-            latency: crate::hierarchy::LatencyConfig::read_state(r)?,
-        };
-        if config.width == 0 || config.alu_units == 0 || config.mem_ports == 0 {
-            return Err(r.bad_value("core width/alu/ports must be positive".to_string()));
-        }
-        if rob_entries == 0 || rob_entries > 1 << 24 {
-            return Err(r.bad_value(format!(
-                "core rob entries {rob_entries} outside 1..=2^24"
-            )));
-        }
-        let worst = config
-            .frontend_latency
-            .max(config.redirect_penalty)
-            .max(config.agen_latency)
-            .max(config.replay_penalty);
-        if worst > LatencyConfig::MAX_CYCLES {
-            return Err(r.bad_value(format!(
-                "core latency {worst} above {} cycles",
-                LatencyConfig::MAX_CYCLES
-            )));
-        }
-        Ok(config)
-    }
-}
-
-impl Snapshot for CoreStats {
-    fn write_state(&self, w: &mut SectionWriter) {
-        w.put_u64(self.cycles);
-        w.put_u64(self.instructions);
-        w.put_u64(self.loads);
-        w.put_u64(self.branch_mispredicts);
-        w.put_u64(self.prefetches);
-        w.put_u64(self.l1_hit_rate.to_bits());
-        self.pred.write_state(w);
-    }
-}
-
-impl Restorable for CoreStats {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let stats = Self {
-            cycles: r.take_u64("stats cycles")?,
-            instructions: take_count(r, "stats instructions")?,
-            loads: take_count(r, "stats loads")?,
-            branch_mispredicts: take_count(r, "stats branch mispredicts")?,
-            prefetches: take_count(r, "stats prefetches")?,
-            l1_hit_rate: f64::from_bits(r.take_u64("stats l1 hit rate")?),
-            pred: PredictorStats::read_state(r)?,
-        };
-        if !stats.l1_hit_rate.is_finite() {
-            return Err(r.bad_value("stats l1 hit rate is not finite".to_string()));
-        }
-        Ok(stats)
-    }
-}
-
-impl Snapshot for OooCore {
-    fn write_state(&self, w: &mut SectionWriter) {
-        self.config.write_state(w);
-        self.mem.write_state(w);
-        self.branch.write_state(w);
-        self.fetch_slots.write_state(w);
-        self.dispatch_slots.write_state(w);
-        self.commit_slots.write_state(w);
-        self.alu.write_state(w);
-        self.ports.write_state(w);
-        for t in self.reg_ready {
-            w.put_u64(t);
-        }
-        // Canonical (sorted) encoding for the store-forwarding map.
-        let mut stores: Vec<(u64, u64)> = self.store_ready.iter().map(|(&a, &t)| (a, t)).collect();
-        stores.sort_unstable();
-        w.put_len(stores.len());
-        for (word, ready) in stores {
-            w.put_u64(word);
-            w.put_u64(ready);
-        }
-        w.put_len(self.commit_ring.len());
-        for &t in &self.commit_ring {
-            w.put_u64(t);
-        }
-        w.put_u64(self.redirect_time);
-        w.put_u64(self.last_commit);
-        self.control.write_state(w);
-        self.stats.write_state(w);
-    }
-}
-
-impl Restorable for OooCore {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let config = CoreConfig::read_state(r)?;
-        let mem = MemoryHierarchy::read_state(r)?;
-        let branch = HybridBranchPredictor::read_state(r)?;
-        let fetch_slots = InOrderSlots::read_state(r)?;
-        let dispatch_slots = InOrderSlots::read_state(r)?;
-        let commit_slots = InOrderSlots::read_state(r)?;
-        let alu = SlotTracker::read_state(r)?;
-        let ports = SlotTracker::read_state(r)?;
-        // The in-order stages' cycles and every restored time below feed an
-        // addition or a slot booking in `run`, so they are held to a slot
-        // window's ceilings: below 2^62, and fewer than 2^24 cycles above
-        // the lower of the ALU and port frontiers.
-        let limit = MAX_FRONTIER.min(alu.frontier().min(ports.frontier()) + MAX_SPAN);
-        for (stage, slots) in [
-            ("fetch", &fetch_slots),
-            ("dispatch", &dispatch_slots),
-            ("commit", &commit_slots),
-        ] {
-            if slots.cycle() >= limit {
-                return Err(r.bad_value(format!(
-                    "{stage} stage cycle {} at or above the restore limit {limit}",
-                    slots.cycle()
-                )));
-            }
-        }
-        let mut reg_ready = [0u64; RegId::COUNT];
-        for t in &mut reg_ready {
-            *t = take_time(r, limit, "register ready time")?;
-        }
-        let n_stores = r.take_len(16, "store forwarding count")?;
-        let mut store_ready = HashMap::with_capacity(n_stores);
-        for _ in 0..n_stores {
-            let word = r.take_u64("store word address")?;
-            let ready = take_time(r, limit, "store ready time")?;
-            store_ready.insert(word, ready);
-        }
-        let ring_len = r.take_len(8, "commit ring length")?;
-        let mut commit_ring = VecDeque::with_capacity(ring_len);
-        for _ in 0..ring_len {
-            commit_ring.push_back(take_time(r, limit, "commit time")?);
-        }
-        Ok(Self {
-            config,
-            mem,
-            branch,
-            fetch_slots,
-            dispatch_slots,
-            commit_slots,
-            alu,
-            ports,
-            reg_ready,
-            store_ready,
-            commit_ring,
-            redirect_time: take_time(r, limit, "redirect time")?,
-            last_commit: take_time(r, limit, "last commit")?,
-            control: ControlState::read_state(r)?,
-            stats: CoreStats::read_state(r)?,
-            // Telemetry is not snapshotted: restores come up with it off.
-            obs: Obs::off(),
-        })
-    }
-}
-
-/// Reads a restored time and rejects one at or above `limit`.
-fn take_time(
-    r: &mut SectionReader<'_>,
-    limit: u64,
-    what: &'static str,
-) -> Result<u64, SnapshotError> {
-    let t = r.take_u64(what)?;
-    if t >= limit {
-        return Err(r.bad_value(format!("{what} {t} at or above the restore limit {limit}")));
-    }
-    Ok(t)
 }
 
 /// Convenience: runs `trace` on a fresh core.
@@ -964,76 +763,6 @@ mod tests {
             with_pf.l1_hit_rate,
             plain.l1_hit_rate
         );
-    }
-
-    #[test]
-    fn hostile_restored_times_are_rejected() {
-        use cap_snapshot::{Restorable, Snapshot, SnapshotError};
-        // 20 000 instructions pass two prune points, so both frontiers
-        // are above zero.
-        let mut core = OooCore::new(config());
-        core.run(&chase_trace(20_000), None, 0);
-        let floor = core.alu.frontier().min(core.ports.frontier());
-        assert!(floor > 0 && !core.commit_ring.is_empty());
-        let payload = core.to_payload();
-        type SetTime = fn(&mut OooCore, u64);
-        let cases: [(&str, SetTime); 8] = [
-            ("fetch stage cycle", |c, t| {
-                c.fetch_slots.alloc(t);
-            }),
-            ("dispatch stage cycle", |c, t| {
-                c.dispatch_slots.alloc(t);
-            }),
-            ("commit stage cycle", |c, t| {
-                c.commit_slots.alloc(t);
-            }),
-            ("register ready time", |c, t| c.reg_ready[9] = t),
-            ("store ready time", |c, t| {
-                c.store_ready.insert(0x1000 >> 2, t);
-            }),
-            ("commit ring entry", |c, t| c.commit_ring[0] = t),
-            ("redirect time", |c, t| c.redirect_time = t),
-            ("last commit", |c, t| c.last_commit = t),
-        ];
-        for (field, set) in cases {
-            let restore_with = |t: u64| {
-                let mut c = OooCore::from_payload(&payload, "core").expect("own payload restores");
-                set(&mut c, t);
-                OooCore::from_payload(&c.to_payload(), "core")
-            };
-            for t in [u64::MAX - 3, floor + MAX_SPAN] {
-                match restore_with(t) {
-                    Err(SnapshotError::BadValue { .. }) => {}
-                    Err(e) => panic!("{field} at {t}: expected BadValue, got {e}"),
-                    Ok(_) => panic!("{field} at {t}: restored"),
-                }
-            }
-            // One cycle under the span ceiling still restores.
-            assert!(restore_with(floor + MAX_SPAN - 1).is_ok(), "{field}");
-        }
-    }
-
-    #[test]
-    fn hostile_restored_counts_are_rejected() {
-        use cap_predictor::metrics::MAX_COUNT;
-        use cap_snapshot::{Restorable, Snapshot, SnapshotError};
-        let counts: [fn(&mut CoreStats, u64); 5] = [
-            |s, n| s.instructions = n,
-            |s, n| s.loads = n,
-            |s, n| s.branch_mispredicts = n,
-            |s, n| s.prefetches = n,
-            |s, n| s.pred.loads = n,
-        ];
-        for (i, set) in counts.into_iter().enumerate() {
-            let restore_with = |n| {
-                let mut stats = CoreStats::default();
-                set(&mut stats, n);
-                CoreStats::from_payload(&stats.to_payload(), "stats")
-            };
-            assert!(restore_with(MAX_COUNT - 1).is_ok(), "count {i}");
-            let refused = restore_with(MAX_COUNT);
-            assert!(matches!(refused, Err(SnapshotError::BadValue { .. })), "count {i}");
-        }
     }
 
     #[test]

@@ -8,12 +8,6 @@ use cap_obs::Obs;
 ///
 /// `l1` is the load-to-use latency whose growth motivates the whole paper
 /// ("two to five cycles in next-generation processors").
-///
-/// A restore rejects any latency above 256 cycles, 3.2x the paper's
-/// largest (80). The same ceiling applies to the core's front-end,
-/// redirect, address-generation and replay latencies: together they
-/// bound how far one instruction can push the timing core's slot windows
-/// ([`crate::capacity`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// L1 hit latency (load-to-use).
@@ -25,9 +19,6 @@ pub struct LatencyConfig {
 }
 
 impl LatencyConfig {
-    /// Restore ceiling on every latency, in cycles.
-    pub(crate) const MAX_CYCLES: u32 = 256;
-
     /// Latencies representative of the paper's era: 3-cycle L1, 12-cycle
     /// L2, 80-cycle memory.
     #[must_use]
@@ -73,7 +64,7 @@ impl MemoryHierarchy {
     }
 
     /// Attaches a telemetry sink for the `uarch.l1.*` / `uarch.l2.*`
-    /// counters (not snapshotted — re-attach after a restore).
+    /// counters.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -120,54 +111,6 @@ impl MemoryHierarchy {
     #[must_use]
     pub fn l2_hit_rate(&self) -> f64 {
         self.l2.hit_rate()
-    }
-}
-
-use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
-
-impl Snapshot for LatencyConfig {
-    fn write_state(&self, w: &mut SectionWriter) {
-        w.put_u32(self.l1);
-        w.put_u32(self.l2);
-        w.put_u32(self.memory);
-    }
-}
-
-impl Restorable for LatencyConfig {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let latency = Self {
-            l1: r.take_u32("l1 latency")?,
-            l2: r.take_u32("l2 latency")?,
-            memory: r.take_u32("memory latency")?,
-        };
-        let worst = latency.l1.max(latency.l2).max(latency.memory);
-        if worst > Self::MAX_CYCLES {
-            return Err(r.bad_value(format!(
-                "hierarchy latency {worst} above {} cycles",
-                Self::MAX_CYCLES
-            )));
-        }
-        Ok(latency)
-    }
-}
-
-impl Snapshot for MemoryHierarchy {
-    fn write_state(&self, w: &mut SectionWriter) {
-        self.l1.write_state(w);
-        self.l2.write_state(w);
-        self.latency.write_state(w);
-    }
-}
-
-impl Restorable for MemoryHierarchy {
-    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        // Telemetry is not snapshotted: restores come up with it off.
-        Ok(Self {
-            l1: Cache::read_state(r)?,
-            l2: Cache::read_state(r)?,
-            latency: LatencyConfig::read_state(r)?,
-            obs: Obs::off(),
-        })
     }
 }
 

@@ -4,7 +4,6 @@
 use cap_rand::check;
 use cap_rand::rngs::StdRng;
 use cap_rand::{Rng, SeedableRng};
-use cap_snapshot::{Restorable, Snapshot};
 use cap_trace::builder::TraceBuilder;
 use cap_trace::record::OpLatency;
 use cap_uarch::capacity::{InOrderSlots, SlotTracker};
@@ -32,15 +31,14 @@ impl FirstFit {
 }
 
 /// SlotTracker books exactly where the reference first-fit model does,
-/// under random interleavings of requests and monotone retirements and
-/// across a snapshot round-trip at a random step; so it never books more
-/// than `width` events into one cycle nor before the requested cycle.
+/// under random interleavings of requests and monotone retirements; so it
+/// never books more than `width` events into one cycle nor before the
+/// requested cycle.
 #[test]
 fn slot_tracker_respects_width() {
     check::run("slot_tracker_respects_width", |rng| {
         let width = rng.gen_range(1u32..8);
         let steps = rng.gen_range(1usize..300);
-        let restore_at = rng.gen_range(0..steps);
         let mut t = SlotTracker::new(width);
         let mut model = FirstFit {
             width,
@@ -48,10 +46,6 @@ fn slot_tracker_respects_width() {
             floor: 0,
         };
         for step in 0..steps {
-            if step == restore_at {
-                t = SlotTracker::from_payload(&t.to_payload(), "slots")
-                    .expect("own payload restores");
-            }
             if rng.gen_range(0..8) == 0 {
                 // Sometimes past every booking, emptying the window.
                 let bound = model.floor + rng.gen_range(0u64..48);
@@ -70,14 +64,12 @@ fn slot_tracker_respects_width() {
 
 /// InOrderSlots books exactly where the reference first-fit model does
 /// under requests that never decrease: runs of equal requests, small
-/// steps and jumps past every booking, across a snapshot round-trip at a
-/// random step.
+/// steps and jumps past every booking.
 #[test]
 fn in_order_slots_match_first_fit() {
     check::run("in_order_slots_match_first_fit", |rng| {
         let width = rng.gen_range(1u32..8);
         let steps = rng.gen_range(1usize..300);
-        let restore_at = rng.gen_range(0..steps);
         let mut t = InOrderSlots::new(width);
         let mut model = FirstFit {
             width,
@@ -86,10 +78,6 @@ fn in_order_slots_match_first_fit() {
         };
         let mut at = 0u64;
         for step in 0..steps {
-            if step == restore_at {
-                t = InOrderSlots::from_payload(&t.to_payload(), "slots")
-                    .expect("own payload restores");
-            }
             at += match rng.gen_range(0..4) {
                 0 | 1 => 0,
                 2 => rng.gen_range(1u64..4),
@@ -99,31 +87,6 @@ fn in_order_slots_match_first_fit() {
             assert_eq!(got, model.alloc(at), "alloc({at}) at step {step}");
         }
     });
-}
-
-/// A stage restored from a window a pruned SlotTracker wrote keeps
-/// booking where first fit over the same bookings does.
-#[test]
-fn in_order_slots_restore_a_tracker_window() {
-    let bookings = [(100u64, 8u32), (101, 8), (102, 3)];
-    let mut tracker = SlotTracker::new(8);
-    tracker.retire_below(100);
-    for &(cycle, count) in &bookings {
-        for _ in 0..count {
-            assert_eq!(tracker.alloc(cycle), cycle);
-        }
-    }
-    let mut t = InOrderSlots::from_payload(&tracker.to_payload(), "slots")
-        .expect("a tracker window restores");
-    let mut model = FirstFit {
-        width: 8,
-        used: bookings.into_iter().collect(),
-        floor: 100,
-    };
-    let booked: Vec<u64> = (0..6).map(|_| t.alloc(100)).collect();
-    assert_eq!(booked, [102, 102, 102, 102, 102, 103]);
-    let modelled: Vec<u64> = (0..6).map(|_| model.alloc(100)).collect();
-    assert_eq!(booked, modelled);
 }
 
 /// Cache hit/miss counts always sum to accesses; hit rate in [0,1].
