@@ -113,6 +113,18 @@ fn parse_number(flag: &str, value: &str) -> u64 {
     })
 }
 
+/// [`parse_number`] for a count that must be at least one: a service
+/// needs a worker and room in its queue.
+fn parse_positive(flag: &str, value: &str) -> u64 {
+    match parse_number(flag, value) {
+        0 => {
+            eprintln!("{flag} wants a positive integer, got '{value}'");
+            exit(2);
+        }
+        n => n,
+    }
+}
+
 fn usage() -> ! {
     eprintln!("usage: simulate gen --out <path> [--suite <i>] [--loads <n>]");
     eprintln!("       simulate run --trace <path> [--predictor <name>]");
@@ -369,10 +381,10 @@ fn cmd_serve(mut args: Vec<String>) {
 
     let mut config = ServiceConfig::default();
     if let Some(v) = take_value(&mut args, "--workers") {
-        config.workers = parse_number("--workers", &v) as usize;
+        config.workers = parse_positive("--workers", &v) as usize;
     }
     if let Some(v) = take_value(&mut args, "--queue") {
-        config.queue_capacity = parse_number("--queue", &v) as usize;
+        config.queue_capacity = parse_positive("--queue", &v) as usize;
     }
     if let Some(v) = take_value(&mut args, "--seed") {
         config.seed = parse_number("--seed", &v);
@@ -908,8 +920,8 @@ fn cmd_route(mut args: Vec<String>) {
     let respawn = take_flag(&mut args, "--respawn");
     let respawn_dir = take_value(&mut args, "--respawn-dir").map(PathBuf::from);
     let admin_file = take_value(&mut args, "--admin-file").map(PathBuf::from);
-    let workers = take_value(&mut args, "--workers").map_or(2, |v| parse_number("--workers", &v));
-    let queue = take_value(&mut args, "--queue").map_or(64, |v| parse_number("--queue", &v));
+    let workers = take_value(&mut args, "--workers").map_or(2, |v| parse_positive("--workers", &v));
+    let queue = take_value(&mut args, "--queue").map_or(64, |v| parse_positive("--queue", &v));
     let seed = take_value(&mut args, "--seed").map(|v| parse_number("--seed", &v));
     if !args.is_empty() {
         eprintln!("unrecognized arguments: {}", args.join(" "));
