@@ -107,7 +107,7 @@ pub(crate) fn sync_dir_observed(vfs: &dyn Vfs, dir: &Path, obs: &Obs) {
 /// is untouched (at worst a `.tmp` orphan remains, which
 /// [`recover_latest`] sweeps up). A failed *directory* sync after the
 /// rename is not an error — it is counted and logged via `obs` (see
-/// [`sync_dir_observed`]'s rationale in the source).
+/// `sync_dir_observed`'s rationale in the source).
 pub fn write_checkpoint_with(
     vfs: &dyn Vfs,
     dir: &Path,

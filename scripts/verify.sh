@@ -6,8 +6,8 @@
 # exits nonzero.
 #
 # Usage: scripts/verify.sh [all|cluster|netchaos|bench|backends]
-#   all      (default) release build, the test suite, clippy, the
-#            quickstart and corruption-smoke examples, a perfbench
+#   all      (default) release build, the test suite, clippy, rustdoc,
+#            the quickstart and corruption-smoke examples, a perfbench
 #            build, then every gate below
 #   cluster  a 3-node fleet behind the router: one node killed under
 #            traffic, the keeper promotes a respawned replacement from
@@ -128,6 +128,10 @@ core_gates() {
 
     step "clippy (all targets, warnings are errors)"
     cargo clippy --offline --workspace --all-targets -- -D warnings
+
+    # Deleting or narrowing a public item breaks only the doc links to it.
+    step "rustdoc (intra-doc links, warnings are errors)"
+    RUSTDOCFLAGS='-D warnings' cargo doc --offline --workspace --no-deps
 
     step "quickstart example"
     cargo run -q --release --offline --example quickstart
