@@ -10,7 +10,9 @@
 //!   PF, per-path CFI, hysteresis, LT update policies, static
 //!   selectors), each on a rotating family;
 //! * the pipelined model at prediction gaps 1, 3 and 8;
-//! * gap 4 with 10% wrong-path fetch and recovery.
+//! * gap 4 with 10% wrong-path fetch and recovery;
+//! * 10% wrong-path pollution at gap 0 and at gap 4, and the value
+//!   stream at gap 0.
 //!
 //! Any diff against `tests/golden/hybrid_matrix.txt` is a behaviour
 //! change of the predictor or of the trace generators.
@@ -233,6 +235,21 @@ fn render_matrix() -> String {
     );
     out += &case(&label, HybridConfig::paper_pipelined(), |s| {
         s.gap(4).run(&trace)
+    });
+    // Pollution without recovery, immediate and pipelined, and the value
+    // stream: each drives a path of `Session::run` the rows above never
+    // reach.
+    let label = format!("wrong_path/gap0_10pct/{}/paper_default", spec.name);
+    out += &case(&label, HybridConfig::paper_default(), |s| {
+        s.wrong_path(10).run(&trace)
+    });
+    let label = format!("wrong_path/gap4_10pct/{}/paper_pipelined", spec.name);
+    out += &case(&label, HybridConfig::paper_pipelined(), |s| {
+        s.gap(4).wrong_path(10).run(&trace)
+    });
+    let label = format!("values/gap0/{}/paper_default", spec.name);
+    out += &case(&label, HybridConfig::paper_default(), |s| {
+        s.values(true).run(&trace)
     });
     out
 }
