@@ -121,13 +121,7 @@ where
                     injection = plan.inject_all(&mut faulty);
                     injected = true;
                 }
-                let ctx = LoadContext {
-                    ip: load.ip,
-                    offset: load.offset,
-                    ghr: control.ghr,
-                    path: control.path,
-                    pending: 0,
-                };
+                let ctx = control.context(load);
                 clean_hits.push(correct_spec(&mut clean, &ctx, load.addr));
                 faulty_hits.push(correct_spec(&mut faulty, &ctx, load.addr));
                 if injected && recovered_after.is_none() {

@@ -35,7 +35,6 @@ use cap_faults::fs::{RealVfs, Vfs};
 use cap_faults::plan::FaultPlan;
 use cap_predictor::drive::ControlState;
 use cap_predictor::metrics::PredictorStats;
-use cap_predictor::types::LoadContext;
 use cap_obs::{Classify, ErrorClass, Obs};
 use cap_rand::{rngs::StdRng, SeedableRng};
 use cap_service::backend::{Backend, BackendKind};
@@ -627,13 +626,7 @@ fn apply_event(
 ) {
     match event {
         TraceEvent::Load(load) => {
-            let ctx = LoadContext {
-                ip: load.ip,
-                offset: load.offset,
-                ghr: state.control.ghr,
-                path: state.control.path,
-                pending: 0,
-            };
+            let ctx = state.control.context(load);
             let pred = state.predictor.predict(&ctx);
             state.predictor.update(&ctx, load.addr, &pred);
             state.stats.record_with(&pred, load.addr, &config.obs);

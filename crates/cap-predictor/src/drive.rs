@@ -1,8 +1,8 @@
-//! Trace-driven predictor evaluation loops.
+//! The trace-driven predictor evaluation loop.
 //!
 //! [`Session`] is the single entry point: a builder that composes the
-//! paper's evaluation models. The default session models Section 4
-//! (every prediction resolved before the next one is made);
+//! paper's evaluation models over one loop. The default session models
+//! Section 4 (every prediction resolved before the next one is made);
 //! [`Session::gap`] models Section 5 (resolutions trail predictions by a
 //! configurable *prediction gap*, so predictions are made with outdated
 //! or speculative state and mispredictions propagate down the pipe);
@@ -10,15 +10,16 @@
 //! drives the same structures on loaded *values* for the
 //! value-prediction comparison.
 //!
-//! Every session maintains the global branch-history register from the
-//! trace's branch outcomes and a folded call-site path (for the
-//! control-based ablation), and accounts statistics per the paper's
-//! definitions.
+//! The gap is a [`GapPipe`], which the timing core drives too, and
+//! every driver builds a load's context with [`ControlState::context`]:
+//! the global branch-history register from the trace's branch outcomes
+//! and a folded call-site path (for the control-based ablation).
+//! Statistics follow the paper's definitions.
 
 use crate::metrics::PredictorStats;
 use crate::types::{AddressPredictor, LoadContext, Prediction};
 use cap_obs::Obs;
-use cap_trace::{BranchKind, Trace, TraceEvent};
+use cap_trace::{BranchKind, BranchRecord, LoadRecord, Trace, TraceEvent};
 use std::collections::VecDeque;
 
 /// Architectural control-flow state carried alongside the instruction
@@ -48,6 +49,20 @@ impl ControlState {
             BranchKind::Jump => {}
         }
     }
+
+    /// The context every driver hands the predictor for `load` under
+    /// this control state. [`LoadContext::pending`] is 0 here; a
+    /// [`GapPipe`] fills it in.
+    #[must_use]
+    pub fn context(&self, load: &LoadRecord) -> LoadContext {
+        LoadContext {
+            ip: load.ip,
+            offset: load.offset,
+            ghr: self.ghr,
+            path: self.path,
+            pending: 0,
+        }
+    }
 }
 
 use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
@@ -72,7 +87,15 @@ impl Restorable for ControlState {
 /// flush.
 const WRONG_PATH_DEPTH: usize = 6;
 
-/// One in-flight load awaiting resolution in the gap pipeline.
+/// Whether the conditional branch `b` at instruction `seq` fetches down
+/// the wrong path at `percent`% (deterministic in the branch IP and
+/// position).
+fn pollutes(b: &BranchRecord, seq: usize, percent: u32) -> bool {
+    let roll = b.ip.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seq as u64) % 100;
+    b.kind == BranchKind::Conditional && (roll as u32) < percent
+}
+
+/// One in-flight load awaiting resolution in the gap pipe.
 #[derive(Debug, Clone)]
 struct Pending {
     ctx: LoadContext,
@@ -82,10 +105,94 @@ struct Pending {
     seq: u64,
 }
 
-/// Unresolved instances of the load at `ip` in the gap pipeline (the
-/// pipe holds at most `gap + 1` entries).
-fn in_flight(pipe: &VecDeque<Pending>, ip: u64) -> u32 {
-    pipe.iter().filter(|p| p.ctx.ip == ip).count() as u32
+/// The §5 prediction gap: the queue between a load's prediction and its
+/// table update, shared by [`Session`] and the timing core.
+///
+/// A load predicted at dynamic instruction `s` is updated, and counted
+/// into the pipe's [`PredictorStats`], at the start of instruction
+/// `s + gap` ([`GapPipe::advance`]). Its [`LoadContext::pending`] counts
+/// the unresolved instances of its IP, and [`GapPipe::finish`] resolves
+/// what is left at the end of the trace. At gap 0 a load is resolved as
+/// soon as it is predicted, and the pipe never allocates.
+#[derive(Debug)]
+pub struct GapPipe {
+    gap: u64,
+    queue: VecDeque<Pending>,
+    stats: PredictorStats,
+    obs: Obs,
+}
+
+impl GapPipe {
+    /// An empty pipe for `gap` instructions, mirroring every resolved
+    /// load into `obs` (see
+    /// [`PredictorStats::record_with`](crate::metrics::PredictorStats::record_with)).
+    #[must_use]
+    pub fn new(gap: usize, obs: Obs) -> Self {
+        Self {
+            gap: gap as u64,
+            // Advanced at every instruction, the pipe holds at most `gap`
+            // loads: one allocation at a gap, none at gap 0.
+            queue: VecDeque::with_capacity(gap),
+            stats: PredictorStats::new(),
+            obs,
+        }
+    }
+
+    /// Resolves, in prediction order, every load due by the start of
+    /// instruction `seq`.
+    #[inline]
+    pub fn advance<P: AddressPredictor + ?Sized>(&mut self, seq: u64, predictor: &mut P) {
+        while let Some(p) = self.queue.pop_front_if(|p| seq - p.seq >= self.gap) {
+            self.resolve(predictor, &p.ctx, p.actual, &p.pred);
+        }
+    }
+
+    /// Predicts the load in `ctx` at instruction `seq` and queues its
+    /// update with `actual`, or applies it at once at gap 0.
+    #[inline]
+    pub fn predict<P: AddressPredictor + ?Sized>(
+        &mut self,
+        seq: u64,
+        predictor: &mut P,
+        mut ctx: LoadContext,
+        actual: u64,
+    ) -> Prediction {
+        if self.gap == 0 {
+            let pred = predictor.predict(&ctx);
+            self.resolve(predictor, &ctx, actual, &pred);
+            return pred;
+        }
+        ctx.pending = self.queue.iter().filter(|p| p.ctx.ip == ctx.ip).count() as u32;
+        let pred = predictor.predict(&ctx);
+        self.queue.push_back(Pending {
+            ctx,
+            pred,
+            actual,
+            seq,
+        });
+        pred
+    }
+
+    /// Resolves every load still in flight and returns the statistics of
+    /// all the loads the pipe resolved.
+    pub fn finish<P: AddressPredictor + ?Sized>(mut self, predictor: &mut P) -> PredictorStats {
+        while let Some(p) = self.queue.pop_front() {
+            self.resolve(predictor, &p.ctx, p.actual, &p.pred);
+        }
+        self.stats
+    }
+
+    #[inline]
+    fn resolve<P: AddressPredictor + ?Sized>(
+        &mut self,
+        predictor: &mut P,
+        ctx: &LoadContext,
+        actual: u64,
+        pred: &Prediction,
+    ) {
+        predictor.update(ctx, actual, pred);
+        self.stats.record_with(pred, actual, &self.obs);
+    }
 }
 
 /// A configured trace-driven evaluation run.
@@ -191,21 +298,6 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
         self
     }
 
-    /// The quantity this session predicts and verifies for a load.
-    fn actual_of(&self, load: &cap_trace::LoadRecord) -> u64 {
-        if self.values { load.value } else { load.addr }
-    }
-
-    fn context_of(&self, load: &cap_trace::LoadRecord, control: &ControlState, pending: u32) -> LoadContext {
-        LoadContext {
-            ip: load.ip,
-            offset: if self.values { 0 } else { load.offset },
-            ghr: control.ghr,
-            path: control.path,
-            pending,
-        }
-    }
-
     /// Runs the session over `trace`, consuming the builder.
     ///
     /// An attached [`Obs`] is also handed to the predictor
@@ -213,159 +305,66 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
     /// (`cap.lt.*`, `stride.*`, `pred.lb.*`) land in the same registry
     /// as the `pred.*` mirror of the returned stats.
     pub fn run(self, trace: &Trace) -> PredictorStats {
-        if self.obs.enabled() {
-            self.predictor.set_obs(self.obs.clone());
+        let Session {
+            predictor,
+            gap,
+            wrong_path_percent,
+            values,
+            obs,
+        } = self;
+        if obs.enabled() {
+            predictor.set_obs(obs.clone());
         }
-        if self.wrong_path_percent > 0 {
-            self.run_wrong_path(trace)
-        } else if self.gap > 0 {
-            self.run_gapped(trace)
-        } else {
-            self.run_in_order(trace)
-        }
-    }
-
-    /// The §4 model: each load resolves before the next is predicted.
-    fn run_in_order(self, trace: &Trace) -> PredictorStats {
-        let mut stats = PredictorStats::new();
-        let mut control = ControlState::default();
-        for event in trace.iter() {
-            match event {
-                TraceEvent::Load(load) => {
-                    let ctx = self.context_of(load, &control, 0);
-                    let actual = self.actual_of(load);
-                    let pred = self.predictor.predict(&ctx);
-                    self.predictor.update(&ctx, actual, &pred);
-                    stats.record_with(&pred, actual, &self.obs);
-                }
-                TraceEvent::Branch(b) => control.on_branch(b.ip, b.taken, b.kind),
-                TraceEvent::Store(_) | TraceEvent::Op(_) => {}
+        // The context and the verified quantity of a load: its address,
+        // or its value, which has no opcode offset.
+        let observe = |load: &LoadRecord, control: &ControlState| {
+            let mut ctx = control.context(load);
+            if values {
+                ctx.offset = 0;
+                (ctx, load.value)
+            } else {
+                (ctx, load.addr)
             }
-        }
-        stats
-    }
-
-    fn run_gapped(self, trace: &Trace) -> PredictorStats {
-        let gap = self.gap;
-        let mut stats = PredictorStats::new();
-        let mut control = ControlState::default();
-        let mut pipe: VecDeque<Pending> = VecDeque::with_capacity(gap + 1);
-
-        let resolve = |predictor: &mut P, stats: &mut PredictorStats, obs: &Obs, p: Pending| {
-            predictor.update(&p.ctx, p.actual, &p.pred);
-            stats.record_with(&p.pred, p.actual, obs);
         };
-
-        for (seq, event) in trace.iter().enumerate() {
-            let seq = seq as u64;
-            // Drain resolutions older than the gap.
-            while let Some(p) = pipe
-                .front()
-                .is_some_and(|p| p.seq + gap as u64 <= seq)
-                .then(|| pipe.pop_front())
-                .flatten()
-            {
-                resolve(self.predictor, &mut stats, &self.obs, p);
-            }
-            match event {
-                TraceEvent::Load(load) => {
-                    let ctx = self.context_of(load, &control, in_flight(&pipe, load.ip));
-                    let actual = self.actual_of(load);
-                    let pred = self.predictor.predict(&ctx);
-                    pipe.push_back(Pending {
-                        ctx,
-                        pred,
-                        actual,
-                        seq,
-                    });
-                }
-                TraceEvent::Branch(b) => control.on_branch(b.ip, b.taken, b.kind),
-                TraceEvent::Store(_) | TraceEvent::Op(_) => {}
-            }
-        }
-        while let Some(p) = pipe.pop_front() {
-            resolve(self.predictor, &mut stats, &self.obs, p);
-        }
-        stats
-    }
-
-    fn run_wrong_path(self, trace: &Trace) -> PredictorStats {
-        let gap = self.gap;
-        let mut stats = PredictorStats::new();
+        let events = trace.events();
+        let mut pipe = GapPipe::new(gap, obs);
         let mut control = ControlState::default();
-        let mut pipe: VecDeque<Pending> = VecDeque::with_capacity(gap + 1);
-        let events: Vec<&TraceEvent> = trace.iter().collect();
-
-        let resolve = |predictor: &mut P, stats: &mut PredictorStats, obs: &Obs, p: Pending| {
-            predictor.update(&p.ctx, p.actual, &p.pred);
-            stats.record_with(&p.pred, p.actual, obs);
-        };
-
-        for (i, event) in events.iter().enumerate() {
-            if gap > 0 {
-                let seq = i as u64;
-                while let Some(p) = pipe
-                    .front()
-                    .is_some_and(|p| p.seq + gap as u64 <= seq)
-                    .then(|| pipe.pop_front())
-                    .flatten()
-                {
-                    resolve(self.predictor, &mut stats, &self.obs, p);
+        // Each polluting branch ends a segment of the trace, so the loop
+        // body never rolls for pollution; without it the whole trace is
+        // one segment.
+        let scan = if wrong_path_percent > 0 { events } else { &[] };
+        let polluting = scan.iter().enumerate().filter_map(|(i, e)| match e {
+            TraceEvent::Branch(b) if pollutes(b, i, wrong_path_percent) => Some(i),
+            _ => None,
+        });
+        let mut start = 0;
+        for branch in polluting.map(Some).chain([None]) {
+            let end = branch.map_or(events.len(), |i| i + 1);
+            for (seq, event) in (start as u64..).zip(&events[start..end]) {
+                pipe.advance(seq, predictor);
+                match event {
+                    TraceEvent::Load(load) => {
+                        let (ctx, actual) = observe(load, &control);
+                        pipe.predict(seq, predictor, ctx, actual);
+                    }
+                    TraceEvent::Branch(b) => control.on_branch(b.ip, b.taken, b.kind),
+                    TraceEvent::Store(_) | TraceEvent::Op(_) => {}
                 }
             }
-            match event {
-                TraceEvent::Load(load) => {
-                    // With no gap the pipe stays empty, so this is 0.
-                    let ctx = self.context_of(load, &control, in_flight(&pipe, load.ip));
-                    let actual = self.actual_of(load);
-                    let pred = self.predictor.predict(&ctx);
-                    if gap > 0 {
-                        pipe.push_back(Pending {
-                            ctx,
-                            pred,
-                            actual,
-                            seq: i as u64,
-                        });
-                    } else {
-                        self.predictor.update(&ctx, actual, &pred);
-                        stats.record_with(&pred, actual, &self.obs);
-                    }
+            // Wrong path: the next few loads are fetched with wrong-path
+            // addresses, predicted, and destructively updated before the
+            // flush.
+            if let Some(i) = branch {
+                let wrong_path = events[i + 1..].iter().filter_map(TraceEvent::as_load);
+                for load in wrong_path.take(WRONG_PATH_DEPTH) {
+                    let (ctx, actual) = observe(load, &control);
+                    let pred = predictor.predict(&ctx);
+                    predictor.update(&ctx, actual ^ 0x1040, &pred);
                 }
-                TraceEvent::Branch(b) => {
-                    control.on_branch(b.ip, b.taken, b.kind);
-                    // Deterministic "misprediction" decision.
-                    let roll = (b.ip
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(i as u64))
-                        % 100;
-                    if b.kind == BranchKind::Conditional
-                        && (roll as u32) < self.wrong_path_percent
-                    {
-                        // Wrong path: the next few static loads are fetched
-                        // with wrong-path addresses, predicted, and
-                        // destructively resolved before the flush.
-                        let mut injected = 0;
-                        for e in events[i + 1..].iter() {
-                            if injected >= WRONG_PATH_DEPTH {
-                                break;
-                            }
-                            if let TraceEvent::Load(l) = e {
-                                let ctx = self.context_of(l, &control, 0);
-                                let wrong = self.actual_of(l) ^ 0x1040;
-                                let pred = self.predictor.predict(&ctx);
-                                self.predictor.update(&ctx, wrong, &pred);
-                                injected += 1;
-                            }
-                        }
-                    }
-                }
-                TraceEvent::Store(_) | TraceEvent::Op(_) => {}
             }
+            start = end;
         }
-        while let Some(p) = pipe.pop_front() {
-            resolve(self.predictor, &mut stats, &self.obs, p);
-        }
-        stats
+        pipe.finish(predictor)
     }
 }
 

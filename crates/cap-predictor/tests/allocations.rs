@@ -4,7 +4,7 @@
 //! predictor is built, and every LB entry keeps its histories inline.
 //! So once a predictor exists, replaying a trace through it allocates
 //! nothing at immediate update, and only the gap pipe at a prediction
-//! gap. A per-set vector or a heap history would allocate on the first
+//! gap, with or without wrong-path pollution. A per-set vector or a heap history would allocate on the first
 //! touch of a set or on every LB fill; this test counts allocations with
 //! a counting global allocator to keep that from coming back.
 //!
@@ -68,26 +68,32 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// One configuration: its name, the session gap, the allocations
-/// `Session::run` may make, and a constructor.
-type Case = (&'static str, usize, u64, fn() -> Box<dyn AddressPredictor>);
+/// One configuration: its name, the session gap, its wrong-path
+/// percent, the allocations `Session::run` may make, and a constructor.
+type Case = (&'static str, usize, u32, u64, fn() -> Box<dyn AddressPredictor>);
 
 #[test]
 fn session_run_allocates_only_the_gap_pipe() {
-    let cases: [Case; 4] = [
-        ("stride", 0, 0, || {
+    let cases: [Case; 6] = [
+        ("stride", 0, 0, 0, || {
             Box::new(StridePredictor::new(
                 LoadBufferConfig::paper_default(),
                 StrideParams::paper_default(),
             ))
         }),
-        ("cap", 0, 0, || {
+        ("cap", 0, 0, 0, || {
             Box::new(CapPredictor::new(CapConfig::paper_default()))
         }),
-        ("hybrid", 0, 0, || {
+        ("hybrid", 0, 0, 0, || {
             Box::new(HybridPredictor::new(HybridConfig::paper_default()))
         }),
-        ("hybrid_pipelined", 8, 1, || {
+        ("hybrid_pipelined", 8, 0, 1, || {
+            Box::new(HybridPredictor::new(HybridConfig::paper_pipelined()))
+        }),
+        ("hybrid_wrong_path", 0, 10, 0, || {
+            Box::new(HybridPredictor::new(HybridConfig::paper_default()))
+        }),
+        ("hybrid_pipelined_wrong_path", 4, 10, 1, || {
             Box::new(HybridPredictor::new(HybridConfig::paper_pipelined()))
         }),
     ];
@@ -95,15 +101,19 @@ fn session_run_allocates_only_the_gap_pipe() {
     let mut wrong = Vec::new();
     for loads in [10_000, 20_000] {
         let trace = spec.generate(loads);
-        for (name, gap, expected, build) in &cases {
+        for (name, gap, wrong_path, expected, build) in &cases {
             let mut p = build();
             let got = allocations_in(|| {
-                let stats = Session::new(p.as_mut()).gap(*gap).run(&trace);
+                let stats = Session::new(p.as_mut())
+                    .gap(*gap)
+                    .wrong_path(*wrong_path)
+                    .run(&trace);
                 assert_eq!(stats.loads as usize, trace.load_count());
             });
             if got != *expected {
                 wrong.push(format!(
-                    "{name} at gap {gap} over {} ({loads} loads): {got} allocations, want {expected}",
+                    "{name} at gap {gap}, {wrong_path}% wrong path, over {} ({loads} loads): \
+                     {got} allocations, want {expected}",
                     spec.name
                 ));
             }

@@ -43,9 +43,9 @@ use crate::capacity::{InOrderSlots, SlotTracker};
 use crate::hierarchy::{LatencyConfig, MemoryHierarchy};
 use crate::names;
 use cap_obs::Obs;
-use cap_predictor::drive::ControlState;
+use cap_predictor::drive::{ControlState, GapPipe};
 use cap_predictor::metrics::PredictorStats;
-use cap_predictor::types::{AddressPredictor, LoadContext, Prediction};
+use cap_predictor::types::AddressPredictor;
 use cap_trace::{RegId, Trace, TraceEvent};
 use std::collections::{HashMap, VecDeque};
 
@@ -144,16 +144,6 @@ impl CoreStats {
     }
 }
 
-/// One in-flight load prediction awaiting its (gap-delayed) table update.
-#[derive(Debug)]
-struct PendingUpdate {
-    ctx: LoadContext,
-    pred: Prediction,
-    actual: u64,
-    /// Dynamic-instruction index at which the prediction was made.
-    seq: u64,
-}
-
 /// The timing simulator.
 #[derive(Debug)]
 pub struct OooCore {
@@ -242,21 +232,12 @@ impl OooCore {
         mut predictor: Option<&mut dyn AddressPredictor>,
         gap: usize,
     ) -> CoreStats {
-        let mut pending: VecDeque<PendingUpdate> = VecDeque::with_capacity(gap + 1);
+        let mut pipe = GapPipe::new(gap, self.obs.clone());
 
-        for (seq, event) in trace.iter().enumerate() {
-            let seq = seq as u64;
+        for (seq, event) in (0u64..).zip(trace.events()) {
             // Apply predictor table updates that are past the gap.
             if let Some(p) = predictor.as_deref_mut() {
-                while let Some(u) = pending
-                    .front()
-                    .is_some_and(|u| u.seq + gap as u64 <= seq)
-                    .then(|| pending.pop_front())
-                    .flatten()
-                {
-                    p.update(&u.ctx, u.actual, &u.pred);
-                    self.stats.pred.record_with(&u.pred, u.actual, &self.obs);
-                }
+                pipe.advance(seq, p);
             }
             // Front end.
             let fetch = self.fetch_slots.alloc(self.redirect_time);
@@ -310,29 +291,9 @@ impl OooCore {
                         + u64::from(self.config.agen_latency);
 
                     // Query the address predictor at dispatch.
-                    let prediction = match predictor.as_deref_mut() {
-                        Some(p) => {
-                            let ctx = LoadContext {
-                                ip: load.ip,
-                                offset: load.offset,
-                                ghr: self.control.ghr,
-                                path: self.control.path,
-                                // Unresolved instances of this load: the
-                                // gap queue holds at most `gap + 1` entries.
-                                pending: pending.iter().filter(|u| u.ctx.ip == load.ip).count()
-                                    as u32,
-                            };
-                            let pred = p.predict(&ctx);
-                            pending.push_back(PendingUpdate {
-                                ctx,
-                                pred,
-                                actual: load.addr,
-                                seq,
-                            });
-                            Some(pred)
-                        }
-                        None => None,
-                    };
+                    let prediction = predictor
+                        .as_deref_mut()
+                        .map(|p| pipe.predict(seq, p, self.control.context(load), load.addr));
 
                     if self.config.prefetch {
                         if let Some(pf) = prediction.and_then(|p| p.detail.next_invocation) {
@@ -422,12 +383,8 @@ impl OooCore {
             }
         }
 
-        // Drain gap-pending predictor updates.
         if let Some(p) = predictor {
-            while let Some(u) = pending.pop_front() {
-                p.update(&u.ctx, u.actual, &u.pred);
-                self.stats.pred.record_with(&u.pred, u.actual, &self.obs);
-            }
+            self.stats.pred.merge(&pipe.finish(p));
         }
 
         if self.obs.enabled() {

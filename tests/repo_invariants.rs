@@ -196,3 +196,29 @@ fn backend_kind_is_matched_only_in_the_registry() {
         &violations,
     );
 }
+
+/// One way to build a load's context: every driver outside cap-predictor
+/// (the timing core, the supervisor, fault recovery) calls
+/// `ControlState::context`, so no crate but cap-predictor spells out a
+/// `LoadContext { .. }` literal.
+#[test]
+fn load_context_is_built_only_in_cap_predictor() {
+    let mut violations = Vec::new();
+    for dir in crate_dirs().iter().filter(|d| !d.ends_with("cap-predictor")) {
+        for file in rust_files(&dir.join("src")) {
+            for (n, line) in numbered_lines(&file) {
+                let code = !line.trim_start().starts_with("//");
+                let literal = line
+                    .match_indices("LoadContext {")
+                    .any(|(i, _)| !line[..i].trim_end().ends_with("->"));
+                if code && literal {
+                    violations.push(locate(&file, n, &line));
+                }
+            }
+        }
+    }
+    assert_clean(
+        "a LoadContext literal outside crates/cap-predictor/src (use ControlState::context)",
+        &violations,
+    );
+}
