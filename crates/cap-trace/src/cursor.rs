@@ -1,9 +1,11 @@
 //! Streaming trace reading with a checkpointable cursor.
 //!
-//! [`crate::io::read_trace`] materialises a whole trace in memory; the
-//! resumable harness instead consumes events one at a time and records,
-//! at every checkpoint, *where in the file* it stands. [`CursorPos`]
-//! captures that position (byte offset, line number, events consumed) and
+//! [`TraceCursor::next_event`] is the one loop over the text format's
+//! lines: [`crate::io::read_trace`] and [`crate::io::read_trace_lenient`]
+//! drain a cursor to materialise a whole trace in memory, while the
+//! resumable harness consumes events one at a time and records, at every
+//! checkpoint, *where in the file* it stands. [`CursorPos`] captures that
+//! position (byte offset, line number, events consumed) and
 //! [`TraceCursor::open_at`] seeks straight back to it, so resuming an
 //! interrupted run re-reads none of the already-processed prefix.
 
@@ -48,6 +50,8 @@ impl Restorable for CursorPos {
 pub struct TraceCursor<R> {
     reader: R,
     pos: CursorPos,
+    /// Byte offset of the start of the last line consumed.
+    line_start: u64,
     raw: Vec<u8>,
 }
 
@@ -64,6 +68,7 @@ impl<R: BufRead> TraceCursor<R> {
         Self {
             reader,
             pos,
+            line_start: pos.byte_offset,
             raw: Vec::new(),
         }
     }
@@ -75,20 +80,30 @@ impl<R: BufRead> TraceCursor<R> {
         self.pos
     }
 
+    /// Byte offset of the start of the last line consumed: the line a
+    /// [`ParseTraceError::Malformed`] from [`TraceCursor::next_event`]
+    /// names.
+    pub(crate) fn line_start(&self) -> u64 {
+        self.line_start
+    }
+
     /// Pulls the next event, skipping comments and blank lines. Returns
     /// `Ok(None)` at end of stream.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseTraceError`] on I/O failure or a malformed line
-    /// (including invalid UTF-8); like the batch readers, this never
-    /// panics whatever the input bytes.
+    /// Returns [`ParseTraceError::Io`] on I/O failure and
+    /// [`ParseTraceError::Malformed`] on a malformed line (including
+    /// invalid UTF-8). The line is consumed either way, so the next call
+    /// reads on from the line after it. This never panics whatever the
+    /// input bytes.
     pub fn next_event(&mut self) -> Result<Option<TraceEvent>, ParseTraceError> {
         loop {
             self.raw.clear();
             if self.reader.read_until(b'\n', &mut self.raw)? == 0 {
                 return Ok(None);
             }
+            self.line_start = self.pos.byte_offset;
             self.pos.byte_offset += self.raw.len() as u64;
             self.pos.line += 1;
             let line_no = self.pos.line as usize;

@@ -13,6 +13,7 @@
 //! be inspected with standard text tools, diffed, or produced by external
 //! generators and fed to the predictors.
 
+use crate::cursor::TraceCursor;
 use crate::record::{
     BranchKind, BranchRecord, LoadRecord, OpLatency, OpRecord, RegId, StoreRecord, Trace,
     TraceEvent,
@@ -289,24 +290,19 @@ pub fn parse_event_line(trimmed: &str, line_no: usize) -> Result<TraceEvent, Par
     Ok(event)
 }
 
-/// Reads a trace from the text format.
+/// Reads a trace from the text format, draining a [`TraceCursor`].
 ///
 /// # Errors
 ///
-/// Returns [`ParseTraceError`] on I/O failure or any malformed line
-/// (including non-UTF-8 bytes, surfaced as [`ParseTraceError::Io`]). This
-/// reader never panics, whatever bytes `r` yields — the guarantee the
-/// corruption suite in `cap-faults` exercises.
+/// Returns [`ParseTraceError`] on I/O failure or on the first malformed
+/// line (including non-UTF-8 bytes, a [`ParseTraceError::Malformed`] like
+/// any other). This reader never panics, whatever bytes `r` yields — the
+/// guarantee the corruption suite in `cap-faults` exercises.
 pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ParseTraceError> {
+    let mut cursor = TraceCursor::new(r);
     let mut trace = Trace::new();
-    for (i, line) in r.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        trace.push(parse_event_line(trimmed, line_no)?);
+    while let Some(event) = cursor.next_event()? {
+        trace.push(event);
     }
     Ok(trace)
 }
@@ -356,49 +352,34 @@ impl LenientParse {
 ///
 /// Only genuine I/O errors from `r` abort the parse; malformed content
 /// never does.
-pub fn read_trace_lenient<R: BufRead>(mut r: R) -> io::Result<LenientParse> {
+pub fn read_trace_lenient<R: BufRead>(r: R) -> io::Result<LenientParse> {
+    let mut cursor = TraceCursor::new(r);
     let mut out = LenientParse {
         trace: Trace::new(),
         skipped: 0,
         first_error: None,
         skips: Vec::new(),
     };
-    let mut raw = Vec::new();
-    let mut line_no = 0usize;
-    let mut consumed = 0u64;
     loop {
-        raw.clear();
-        if r.read_until(b'\n', &mut raw)? == 0 {
-            break;
-        }
-        line_no += 1;
-        let line_start = consumed;
-        consumed += raw.len() as u64;
-        let skip = |out: &mut LenientParse, reason: String| {
-            out.skipped += 1;
-            if out.first_error.is_none() {
-                out.first_error = Some((line_no, reason.clone()));
+        match cursor.next_event() {
+            Ok(Some(event)) => out.trace.push(event),
+            Ok(None) => return Ok(out),
+            Err(ParseTraceError::Io(e)) => return Err(e),
+            Err(e) => {
+                let line = cursor.position().line as usize;
+                let reason = e.to_string();
+                out.skipped += 1;
+                if out.first_error.is_none() {
+                    out.first_error = Some((line, reason.clone()));
+                }
+                out.skips.push(SkippedLine {
+                    line,
+                    byte_offset: cursor.line_start(),
+                    reason,
+                });
             }
-            out.skips.push(SkippedLine {
-                line: line_no,
-                byte_offset: line_start,
-                reason,
-            });
-        };
-        let Ok(line) = std::str::from_utf8(&raw) else {
-            skip(&mut out, "invalid UTF-8".to_owned());
-            continue;
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        match parse_event_line(trimmed, line_no) {
-            Ok(event) => out.trace.push(event),
-            Err(e) => skip(&mut out, e.to_string()),
         }
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -453,6 +434,19 @@ mod tests {
         match err {
             ParseTraceError::Malformed { line, .. } => assert_eq!(line, 2),
             other => panic!("wrong error kind: {other}"),
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_malformed_with_its_line() {
+        let mut bytes = b"L 400 1008 8 4 0 - -\n".to_vec();
+        bytes.extend_from_slice(&[b'L', b' ', 0xFF, b'\n']);
+        match read_trace(bytes.as_slice()) {
+            Err(ParseTraceError::Malformed { line, reason }) => {
+                assert_eq!(line, 2);
+                assert!(reason.contains("UTF-8"), "{reason}");
+            }
+            other => panic!("want Malformed on line 2, got {other:?}"),
         }
     }
 

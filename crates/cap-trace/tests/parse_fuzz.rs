@@ -95,8 +95,9 @@ fn single_byte_mutation_never_panics_and_blames_the_right_line() {
         bytes[pos] = new;
 
         // Attribution is only well-defined when the mutation cannot move
-        // line boundaries or break UTF-8.
-        let structure_preserved = old != b'\n' && new != b'\n' && new.is_ascii();
+        // line boundaries. Invalid UTF-8 is a malformed line like any
+        // other, so it must name its line too.
+        let structure_preserved = old != b'\n' && new != b'\n';
         let expected_line = line_of_byte(&bytes, pos);
 
         match read_trace(bytes.as_slice()) {
@@ -109,11 +110,8 @@ fn single_byte_mutation_never_panics_and_blames_the_right_line() {
                     );
                 }
             }
-            Err(ParseTraceError::Io(_)) => {
-                assert!(
-                    !new.is_ascii(),
-                    "Io error is only acceptable for non-UTF-8 mutations"
-                );
+            Err(ParseTraceError::Io(e)) => {
+                panic!("in-memory input cannot fail with an I/O error: {e}")
             }
         }
     });
@@ -135,7 +133,10 @@ fn multi_byte_mutation_never_panics_and_lenient_recovers() {
         // Strict parse: success or a structured error with an in-range
         // line. Reaching this point at all proves no panic.
         match read_trace(bytes.as_slice()) {
-            Ok(_) | Err(ParseTraceError::Io(_)) => {}
+            Ok(_) => {}
+            Err(ParseTraceError::Io(e)) => {
+                panic!("in-memory input cannot fail with an I/O error: {e}")
+            }
             Err(ParseTraceError::Malformed { line, .. }) => {
                 assert!(
                     (1..=total_lines).contains(&line),
