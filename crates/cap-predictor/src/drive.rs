@@ -91,7 +91,8 @@ const WRONG_PATH_DEPTH: usize = 6;
 /// the wrong path at `percent`% (deterministic in the branch IP and
 /// position).
 fn pollutes(b: &BranchRecord, seq: usize, percent: u32) -> bool {
-    let roll = b.ip.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seq as u64) % 100;
+    let hash = b.ip.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let roll = hash.wrapping_add(seq as u64) % 100;
     b.kind == BranchKind::Conditional && (roll as u32) < percent
 }
 
@@ -110,10 +111,13 @@ struct Pending {
 ///
 /// A load predicted at dynamic instruction `s` is updated, and counted
 /// into the pipe's [`PredictorStats`], at the start of instruction
-/// `s + gap` ([`GapPipe::advance`]). Its [`LoadContext::pending`] counts
-/// the unresolved instances of its IP, and [`GapPipe::finish`] resolves
-/// what is left at the end of the trace. At gap 0 a load is resolved as
-/// soon as it is predicted, and the pipe never allocates.
+/// `s + gap`. Only a prediction reads the tables, so the pipe applies
+/// the updates due by then when the next load is predicted
+/// ([`GapPipe::predict`]), and a caller that touches the tables itself
+/// first calls [`GapPipe::advance`]. A load's [`LoadContext::pending`]
+/// counts the unresolved instances of its IP, and [`GapPipe::finish`]
+/// resolves what is left at the end of the trace. At gap 0 a load is
+/// resolved as soon as it is predicted, and the pipe never allocates.
 #[derive(Debug)]
 pub struct GapPipe {
     gap: u64,
@@ -130,7 +134,7 @@ impl GapPipe {
     pub fn new(gap: usize, obs: Obs) -> Self {
         Self {
             gap: gap as u64,
-            // Advanced at every instruction, the pipe holds at most `gap`
+            // Advanced at every prediction, the pipe holds at most `gap`
             // loads: one allocation at a gap, none at gap 0.
             queue: VecDeque::with_capacity(gap),
             stats: PredictorStats::new(),
@@ -147,8 +151,9 @@ impl GapPipe {
         }
     }
 
-    /// Predicts the load in `ctx` at instruction `seq` and queues its
-    /// update with `actual`, or applies it at once at gap 0.
+    /// Predicts the load in `ctx` at instruction `seq`, after resolving
+    /// the loads due by then, and queues its update with `actual`, or
+    /// applies it at once at gap 0.
     #[inline]
     pub fn predict<P: AddressPredictor + ?Sized>(
         &mut self,
@@ -162,6 +167,7 @@ impl GapPipe {
             self.resolve(predictor, &ctx, actual, &pred);
             return pred;
         }
+        self.advance(seq, predictor);
         ctx.pending = self.queue.iter().filter(|p| p.ctx.ip == ctx.ip).count() as u32;
         let pred = predictor.predict(&ctx);
         self.queue.push_back(Pending {
@@ -251,11 +257,10 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
     /// branch-misprediction shadows) drain pending resolutions, which
     /// is what lets a context predictor resume after a misprediction
     /// chain — the paper's §5.2 observation that "correct context-based
-    /// predictions should resume on the next traversal". The session
-    /// also counts, from the gap queue, the unresolved in-flight
-    /// instances of each load and passes the count as
-    /// [`LoadContext::pending`] so the stride catch-up and interval
-    /// mechanisms can extrapolate.
+    /// predictions should resume on the next traversal". The session's
+    /// [`GapPipe`] also counts the unresolved in-flight instances of
+    /// each load and passes the count as [`LoadContext::pending`] so the
+    /// stride catch-up and interval mechanisms can extrapolate.
     pub fn gap(mut self, gap: usize) -> Self {
         self.gap = gap;
         self
@@ -341,7 +346,6 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
         for branch in polluting.map(Some).chain([None]) {
             let end = branch.map_or(events.len(), |i| i + 1);
             for (seq, event) in (start as u64..).zip(&events[start..end]) {
-                pipe.advance(seq, predictor);
                 match event {
                     TraceEvent::Load(load) => {
                         let (ctx, actual) = observe(load, &control);
@@ -353,8 +357,9 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
             }
             // Wrong path: the next few loads are fetched with wrong-path
             // addresses, predicted, and destructively updated before the
-            // flush.
+            // flush, on the tables as they stand at the branch.
             if let Some(i) = branch {
+                pipe.advance(i as u64, predictor);
                 let wrong_path = events[i + 1..].iter().filter_map(TraceEvent::as_load);
                 for load in wrong_path.take(WRONG_PATH_DEPTH) {
                     let (ctx, actual) = observe(load, &control);

@@ -70,7 +70,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 
 /// One configuration: its name, the session gap, its wrong-path
 /// percent, the allocations `Session::run` may make, and a constructor.
-type Case = (&'static str, usize, u32, u64, fn() -> Box<dyn AddressPredictor>);
+type Case = (
+    &'static str,
+    usize,
+    u32,
+    u64,
+    fn() -> Box<dyn AddressPredictor>,
+);
 
 #[test]
 fn session_run_allocates_only_the_gap_pipe() {

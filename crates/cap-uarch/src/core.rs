@@ -225,7 +225,8 @@ impl OooCore {
 
     /// Runs a full trace through the core with an optional address
     /// predictor and a predict-to-update gap expressed in dynamic
-    /// instructions (`0` = immediate update, as in §4).
+    /// instructions (`0` = immediate update, as in §4), held by the same
+    /// [`GapPipe`] a `Session` drives.
     pub fn run(
         &mut self,
         trace: &Trace,
@@ -235,10 +236,6 @@ impl OooCore {
         let mut pipe = GapPipe::new(gap, self.obs.clone());
 
         for (seq, event) in (0u64..).zip(trace.events()) {
-            // Apply predictor table updates that are past the gap.
-            if let Some(p) = predictor.as_deref_mut() {
-                pipe.advance(seq, p);
-            }
             // Front end.
             let fetch = self.fetch_slots.alloc(self.redirect_time);
             let mut dispatch = self

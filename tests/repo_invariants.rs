@@ -204,7 +204,10 @@ fn backend_kind_is_matched_only_in_the_registry() {
 #[test]
 fn load_context_is_built_only_in_cap_predictor() {
     let mut violations = Vec::new();
-    for dir in crate_dirs().iter().filter(|d| !d.ends_with("cap-predictor")) {
+    for dir in crate_dirs()
+        .iter()
+        .filter(|d| !d.ends_with("cap-predictor"))
+    {
         for file in rust_files(&dir.join("src")) {
             for (n, line) in numbered_lines(&file) {
                 let code = !line.trim_start().starts_with("//");
