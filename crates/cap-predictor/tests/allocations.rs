@@ -4,9 +4,10 @@
 //! predictor is built, and every LB entry keeps its histories inline.
 //! So once a predictor exists, replaying a trace through it allocates
 //! nothing at immediate update, and only the gap pipe at a prediction
-//! gap, with or without wrong-path pollution. A per-set vector or a heap history would allocate on the first
-//! touch of a set or on every LB fill; this test counts allocations with
-//! a counting global allocator to keep that from coming back.
+//! gap, with or without wrong-path pollution. A per-set vector or a heap
+//! history would allocate on the first touch of a set or on every LB
+//! fill; this test counts allocations with a counting global allocator
+//! to keep that from coming back.
 //!
 //! It is its own test binary so the counting allocator serves only it,
 //! and it counts per thread, so sibling tests cannot disturb a count.
