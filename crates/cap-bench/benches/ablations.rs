@@ -9,13 +9,13 @@
 //! Each group times the sweep and prints the measured metric deltas so
 //! bench logs double as ablation reports.
 
+use cap_bench::bench_kit::Criterion;
 use cap_bench::bench_scale;
 use cap_harness::runner::{run_suite_sweep, PredictorFactory, Scale};
 use cap_predictor::cap::{CapConfig, CapPredictor};
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor, SelectorPolicy};
 use cap_predictor::link_table::PfMode;
 use cap_predictor::metrics::PredictorStats;
-use cap_bench::bench_kit::Criterion;
 
 fn sweep_and_print(scale: &Scale, title: &str, factories: Vec<PredictorFactory>) {
     let results = run_suite_sweep(scale, &factories, 0);
@@ -51,7 +51,10 @@ fn pf_factories() -> Vec<PredictorFactory> {
             cfg.lt.pf_mode = PfMode::Off;
             CapPredictor::new(cfg)
         }),
-        PredictorFactory::new("pf-inline", || CapPredictor::new(CapConfig::paper_default())),
+        PredictorFactory::new(
+            "pf-inline",
+            || CapPredictor::new(CapConfig::paper_default()),
+        ),
     ]
 }
 
@@ -59,12 +62,15 @@ fn threshold_factories() -> Vec<PredictorFactory> {
     [(2u8, false), (3, false), (2, true), (3, true)]
         .into_iter()
         .map(|(t, h)| {
-            PredictorFactory::new(&format!("thr{t}{}", if h { "+hyst" } else { "" }), move || {
-                let mut cfg = CapConfig::paper_default();
-                cfg.params.conf_threshold = t;
-                cfg.params.hysteresis = h;
-                CapPredictor::new(cfg)
-            })
+            PredictorFactory::new(
+                &format!("thr{t}{}", if h { "+hyst" } else { "" }),
+                move || {
+                    let mut cfg = CapConfig::paper_default();
+                    cfg.params.conf_threshold = t;
+                    cfg.params.hysteresis = h;
+                    CapPredictor::new(cfg)
+                },
+            )
         })
         .collect()
 }
@@ -122,7 +128,11 @@ fn bench(c: &mut Criterion) {
 
     sweep_and_print(&scale, "history shift m", shift_factories());
     sweep_and_print(&scale, "pollution-free bits", pf_factories());
-    sweep_and_print(&scale, "confidence threshold/hysteresis", threshold_factories());
+    sweep_and_print(
+        &scale,
+        "confidence threshold/hysteresis",
+        threshold_factories(),
+    );
     sweep_and_print(&scale, "selector policy", selector_factories());
     sweep_and_print(&scale, "global correlation", correlation_factories());
 }

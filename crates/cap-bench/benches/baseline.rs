@@ -374,8 +374,16 @@ fn main() {
 
     let ops = loads.len() * REPS;
     let legacy_ns = ns_per_op(&criterion, "baseline/single_predict_legacy", ops);
-    let journal_append_ns = ns_per_op(&criterion, "baseline-journal/journal_append", journal_records);
-    let journal_replay_ns = ns_per_op(&criterion, "baseline-journal/journal_replay", journal_records);
+    let journal_append_ns = ns_per_op(
+        &criterion,
+        "baseline-journal/journal_append",
+        journal_records,
+    );
+    let journal_replay_ns = ns_per_op(
+        &criterion,
+        "baseline-journal/journal_replay",
+        journal_records,
+    );
 
     let backend_ops = loads.len() * BACKEND_REPS;
     let backend_lines: Vec<String> = BACKEND_REGISTRY

@@ -2,9 +2,9 @@
 //! prediction, §3.3 delta correlation) and future-work features (§6
 //! variable history, profile feedback; §1.1 prefetching).
 
+use cap_bench::bench_kit::Criterion;
 use cap_bench::{bench_scale, bench_scale_timing};
 use cap_harness::experiments::ext;
-use cap_bench::bench_kit::Criterion;
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();

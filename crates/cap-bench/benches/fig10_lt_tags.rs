@@ -1,9 +1,9 @@
 //! Bench: regenerate Figure 10 (Link-Table tag / path-indication
 //! ablation) at bench scale.
 
+use cap_bench::bench_kit::Criterion;
 use cap_bench::bench_scale;
 use cap_harness::experiments::fig10;
-use cap_bench::bench_kit::Criterion;
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();

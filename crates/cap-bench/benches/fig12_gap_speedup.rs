@@ -1,9 +1,9 @@
 //! Bench: regenerate Figure 12 (per-suite speedups under a prediction
 //! gap of 8 cycles) at timing-bench scale.
 
+use cap_bench::bench_kit::Criterion;
 use cap_bench::bench_scale_timing;
 use cap_harness::experiments::fig12;
-use cap_bench::bench_kit::Criterion;
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale_timing();

@@ -1,9 +1,9 @@
 //! Bench: regenerate Figure 5 (stride vs CAP vs hybrid prediction
 //! performance) at bench scale.
 
+use cap_bench::bench_kit::Criterion;
 use cap_bench::bench_scale;
 use cap_harness::experiments::fig5;
-use cap_bench::bench_kit::Criterion;
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();

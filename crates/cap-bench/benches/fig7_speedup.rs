@@ -1,9 +1,9 @@
 //! Bench: regenerate Figure 7 (per-trace speedup over no address
 //! prediction) at timing-bench scale.
 
+use cap_bench::bench_kit::Criterion;
 use cap_bench::bench_scale_timing;
 use cap_harness::experiments::fig7;
-use cap_bench::bench_kit::Criterion;
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale_timing();

@@ -1,9 +1,9 @@
 //! Bench: regenerate Figure 9 (correct predictions vs history length,
 //! with/without global correlation) at bench scale.
 
+use cap_bench::bench_kit::Criterion;
 use cap_bench::bench_scale;
 use cap_harness::experiments::fig9;
-use cap_bench::bench_kit::Criterion;
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();

@@ -35,9 +35,7 @@ fn bench_trace() -> Trace {
 
 fn drive(trace: &Trace, obs: &Obs) -> u64 {
     let mut predictor = HybridPredictor::new(HybridConfig::paper_default());
-    let stats = Session::new(&mut predictor)
-        .obs(obs.clone())
-        .run(trace);
+    let stats = Session::new(&mut predictor).obs(obs.clone()).run(trace);
     stats.loads
 }
 

@@ -33,7 +33,11 @@ fn request_for(i: usize) -> Request {
             ip: 0x40_2000,
             offset: 1,
             ghr: (i / 3) & 0xF,
-            actual: if (i / 3).is_multiple_of(2) { 0x8000 } else { 0x9000 },
+            actual: if (i / 3).is_multiple_of(2) {
+                0x8000
+            } else {
+                0x9000
+            },
         },
         _ => Request::Observe {
             ip: 0x40_3000,
@@ -101,8 +105,7 @@ fn bench(c: &mut Criterion) {
 
         let stats = handle.stats().expect("stats");
         assert_eq!(
-            stats.workers[0].rung,
-            rung,
+            stats.workers[0].rung, rung,
             "pinned rung must hold for the whole measurement"
         );
         let report = service.shutdown(Duration::from_secs(1));

@@ -82,11 +82,7 @@ fn bench(c: &mut Criterion) {
     // journal flush interval buys its loss bound with.
     let events: Vec<TraceEvent> = trace.iter().take(4_096).copied().collect();
     let journal = journal_of(&events);
-    println!(
-        "journal: {} records, {} bytes",
-        events.len(),
-        journal.len()
-    );
+    println!("journal: {} records, {} bytes", events.len(), journal.len());
 
     group.bench_function("journal_append_4k_records", |b| {
         b.iter(|| black_box(journal_of(&events).len()));

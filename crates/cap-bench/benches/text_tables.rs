@@ -1,9 +1,9 @@
 //! Bench: regenerate the paper's in-text tables (coverage, LT sweep,
 //! update policy, control-based, pollution) at bench scale.
 
+use cap_bench::bench_kit::Criterion;
 use cap_bench::bench_scale;
 use cap_harness::experiments::text;
-use cap_bench::bench_kit::Criterion;
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();

@@ -59,7 +59,10 @@ fn snapshot_smoke() {
     let mut by_kind = [0usize; SnapshotMutationKind::ALL.len()];
     for _ in 0..1_000 {
         let (mutated, kind) = corrupt_snapshot(&bytes, &mut rng);
-        by_kind[SnapshotMutationKind::ALL.iter().position(|&k| k == kind).unwrap()] += 1;
+        by_kind[SnapshotMutationKind::ALL
+            .iter()
+            .position(|&k| k == kind)
+            .unwrap()] += 1;
         match SnapshotArchive::parse(&mutated) {
             Ok(archive) => {
                 ok += 1;

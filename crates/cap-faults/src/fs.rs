@@ -769,7 +769,10 @@ mod tests {
         let vfs = ChaosVfs::new(3, FsFaultConfig::always_lying_fsync());
         vfs.create_dir_all(&p("/d")).unwrap();
         vfs.write_file(&p("/d/a"), b"precious").unwrap();
-        assert!(vfs.sync_file(&p("/d/a")).is_ok(), "the lie looks like success");
+        assert!(
+            vfs.sync_file(&p("/d/a")).is_ok(),
+            "the lie looks like success"
+        );
         assert!(vfs.sync_dir(&p("/d")).is_ok());
         assert!(vfs.stats().of_kind(FsFaultKind::FsyncLie) >= 2);
         vfs.crash_now();
@@ -784,7 +787,8 @@ mod tests {
     fn durable_name_with_unsynced_content_comes_back_zero_length() {
         let vfs = honest();
         vfs.create_dir_all(&p("/d")).unwrap();
-        vfs.write_file(&p("/d/torn"), b"content that never hit the platter").unwrap();
+        vfs.write_file(&p("/d/torn"), b"content that never hit the platter")
+            .unwrap();
         vfs.sync_dir(&p("/d")).unwrap(); // entry durable, content not
         vfs.crash_now();
         vfs.reboot();
@@ -802,7 +806,10 @@ mod tests {
         vfs.create_dir_all(&p("/d")).unwrap(); // op 1
         vfs.write_file(&p("/d/a"), b"x").unwrap(); // op 2
         vfs.sync_file(&p("/d/a")).unwrap(); // op 3 — completes, then crash
-        assert!(vfs.sync_dir(&p("/d")).is_err(), "op 4 finds the machine down");
+        assert!(
+            vfs.sync_dir(&p("/d")).is_err(),
+            "op 4 finds the machine down"
+        );
         assert_eq!(vfs.stats().crashes, 1);
         vfs.reboot();
         // Content was synced (op 3) but the entry never was: file gone.
@@ -835,10 +842,13 @@ mod tests {
 
     #[test]
     fn read_bitrot_is_transient_not_rot_in_place() {
-        let vfs = ChaosVfs::new(11, FsFaultConfig {
-            p_read_bitrot: 1.0,
-            ..FsFaultConfig::off()
-        });
+        let vfs = ChaosVfs::new(
+            11,
+            FsFaultConfig {
+                p_read_bitrot: 1.0,
+                ..FsFaultConfig::off()
+            },
+        );
         vfs.create_dir_all(&p("/d")).unwrap();
         vfs.write_file(&p("/d/a"), b"abcd").unwrap();
         let rotten = vfs.read(&p("/d/a")).unwrap();
@@ -855,10 +865,13 @@ mod tests {
 
     #[test]
     fn dir_omission_hides_exactly_one_entry() {
-        let vfs = ChaosVfs::new(13, FsFaultConfig {
-            p_dir_omission: 1.0,
-            ..FsFaultConfig::off()
-        });
+        let vfs = ChaosVfs::new(
+            13,
+            FsFaultConfig {
+                p_dir_omission: 1.0,
+                ..FsFaultConfig::off()
+            },
+        );
         vfs.create_dir_all(&p("/d")).unwrap();
         for name in ["a", "b", "c"] {
             vfs.write_file(&p(&format!("/d/{name}")), b"x").unwrap();
@@ -881,10 +894,13 @@ mod tests {
 
     #[test]
     fn short_write_and_enospc_leave_partial_files() {
-        let vfs = ChaosVfs::new(17, FsFaultConfig {
-            p_short_write: 1.0,
-            ..FsFaultConfig::off()
-        });
+        let vfs = ChaosVfs::new(
+            17,
+            FsFaultConfig {
+                p_short_write: 1.0,
+                ..FsFaultConfig::off()
+            },
+        );
         vfs.create_dir_all(&p("/d")).unwrap();
         let payload = vec![0xAB; 1024];
         let err = vfs.write_file(&p("/d/a"), &payload).unwrap_err();
@@ -893,10 +909,13 @@ mod tests {
         assert!(partial.len() < payload.len());
         assert!(partial.iter().all(|&b| b == 0xAB));
 
-        let vfs = ChaosVfs::new(19, FsFaultConfig {
-            p_enospc: 1.0,
-            ..FsFaultConfig::off()
-        });
+        let vfs = ChaosVfs::new(
+            19,
+            FsFaultConfig {
+                p_enospc: 1.0,
+                ..FsFaultConfig::off()
+            },
+        );
         vfs.create_dir_all(&p("/d")).unwrap();
         let err = vfs.write_file(&p("/d/a"), &payload).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);

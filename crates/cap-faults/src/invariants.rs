@@ -84,7 +84,10 @@ pub(crate) fn check_lb_entries<'a>(
             }
         }
         if let Some(len) = history_len {
-            for (name, hist) in [("architectural", &e.history), ("speculative", &e.spec_history)] {
+            for (name, hist) in [
+                ("architectural", &e.history),
+                ("speculative", &e.spec_history),
+            ] {
                 if hist.len() > len {
                     return Err(violation(
                         target,

@@ -193,7 +193,8 @@ impl NetFaultPlan {
     /// connection.
     #[must_use]
     pub fn draw(&self, conn: u64) -> Option<NetFault> {
-        let mut rng = SplitMix64::seed_from_u64(self.seed ^ conn.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng =
+            SplitMix64::seed_from_u64(self.seed ^ conn.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let c = self.config;
         let unit = |r: &mut SplitMix64| (r.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         let in_range = |r: &mut SplitMix64, lo: u64, hi: u64| {
@@ -204,24 +205,34 @@ impl NetFaultPlan {
         let roll = unit(&mut rng);
         let mut threshold = c.p_reset;
         if roll < threshold {
-            return Some(NetFault::ResetMidFrame { frame: frame(&mut rng) });
+            return Some(NetFault::ResetMidFrame {
+                frame: frame(&mut rng),
+            });
         }
         threshold += c.p_truncate;
         if roll < threshold {
-            return Some(NetFault::Truncate { frame: frame(&mut rng) });
+            return Some(NetFault::Truncate {
+                frame: frame(&mut rng),
+            });
         }
         threshold += c.p_garble;
         if roll < threshold {
-            return Some(NetFault::Garble { frame: frame(&mut rng) });
+            return Some(NetFault::Garble {
+                frame: frame(&mut rng),
+            });
         }
         threshold += c.p_slow_loris;
         if roll < threshold {
-            return Some(NetFault::SlowLoris { pause: c.loris_pause });
+            return Some(NetFault::SlowLoris {
+                pause: c.loris_pause,
+            });
         }
         threshold += c.p_latency;
         if roll < threshold {
             let (lo, hi) = c.latency_ms;
-            return Some(NetFault::Latency(Duration::from_millis(in_range(&mut rng, lo, hi))));
+            return Some(NetFault::Latency(Duration::from_millis(in_range(
+                &mut rng, lo, hi,
+            ))));
         }
         None
     }
@@ -630,7 +641,13 @@ mod tests {
         // Every configured fault kind actually occurs at default rates.
         let names: std::collections::BTreeSet<&str> =
             a.iter().flatten().map(|f| f.name()).collect();
-        for expect in ["reset-mid-frame", "truncate", "garble", "slow-loris", "latency"] {
+        for expect in [
+            "reset-mid-frame",
+            "truncate",
+            "garble",
+            "slow-loris",
+            "latency",
+        ] {
             assert!(names.contains(expect), "no {expect} in 512 draws");
         }
     }

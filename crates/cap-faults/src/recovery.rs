@@ -59,11 +59,7 @@ pub struct RecoveryReport {
 /// Per-load correctness tallied the way the paper's coverage metric works:
 /// a load scores when a speculative access was launched at the right
 /// address.
-fn correct_spec<P: AddressPredictor + ?Sized>(
-    p: &mut P,
-    ctx: &LoadContext,
-    actual: u64,
-) -> bool {
+fn correct_spec<P: AddressPredictor + ?Sized>(p: &mut P, ctx: &LoadContext, actual: u64) -> bool {
     let pred = p.predict(ctx);
     let hit = pred.speculate && pred.is_correct(actual);
     p.update(ctx, actual, &pred);

@@ -142,7 +142,9 @@ mod tests {
     #[test]
     fn all_kinds_appear_at_default_rates() {
         let faults: Vec<ServiceFault> = drain(3, 10_000).into_iter().flatten().collect();
-        assert!(faults.iter().any(|f| matches!(f, ServiceFault::WorkerPanic)));
+        assert!(faults
+            .iter()
+            .any(|f| matches!(f, ServiceFault::WorkerPanic)));
         assert!(faults.iter().any(|f| matches!(f, ServiceFault::Latency(_))));
         assert!(faults
             .iter()

@@ -99,7 +99,10 @@ mod tests {
         let bytes = archive();
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
-        assert_eq!(corrupt_snapshot(&bytes, &mut a), corrupt_snapshot(&bytes, &mut b));
+        assert_eq!(
+            corrupt_snapshot(&bytes, &mut a),
+            corrupt_snapshot(&bytes, &mut b)
+        );
     }
 
     #[test]
@@ -109,7 +112,10 @@ mod tests {
         let mut seen = [false; SnapshotMutationKind::ALL.len()];
         for _ in 0..200 {
             let (_, kind) = corrupt_snapshot(&bytes, &mut rng);
-            seen[SnapshotMutationKind::ALL.iter().position(|&k| k == kind).unwrap()] = true;
+            seen[SnapshotMutationKind::ALL
+                .iter()
+                .position(|&k| k == kind)
+                .unwrap()] = true;
         }
         assert!(seen.iter().all(|&s| s), "kinds seen: {seen:?}");
     }

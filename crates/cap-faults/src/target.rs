@@ -286,7 +286,11 @@ impl FaultTarget for CapPredictor {
             Some(params.offset_lsb_bits),
             Some(params.history.length),
         )?;
-        check_lt_entries(self.link_table(), "cap/link-table", Some(params.history.tag_bits))
+        check_lt_entries(
+            self.link_table(),
+            "cap/link-table",
+            Some(params.history.tag_bits),
+        )
     }
 }
 
@@ -348,7 +352,12 @@ impl FaultTarget for StridePredictor {
     }
 
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        check_lb_entries(self.load_buffer().entries(), "stride/load-buffer", None, None)
+        check_lb_entries(
+            self.load_buffer().entries(),
+            "stride/load-buffer",
+            None,
+            None,
+        )
     }
 }
 

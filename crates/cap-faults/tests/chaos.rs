@@ -6,8 +6,8 @@
 //! across the CAP, hybrid and stride predictors, plus 1 000 corrupted
 //! traces through both parsers, plus a measured recovery bound.
 
-use cap_faults::prelude::*;
 use cap_faults::plan::flip_random_bit;
+use cap_faults::prelude::*;
 use cap_predictor::cap::{CapConfig, CapPredictor};
 use cap_predictor::drive::{ControlState, Session};
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
@@ -98,7 +98,11 @@ fn chaos_hybrid_4000_injections() {
     assert!(report.applied > report.attempted / 2);
     // The full kind spectrum must have been exercised (Ghr excepted —
     // driver-side by design).
-    assert!(report.by_kind.len() >= 9, "kinds seen: {:?}", report.by_kind);
+    assert!(
+        report.by_kind.len() >= 9,
+        "kinds seen: {:?}",
+        report.by_kind
+    );
 }
 
 #[test]
@@ -190,7 +194,10 @@ fn chaos_1000_corrupted_snapshots_never_panic_and_name_their_section() {
     let mut structured = 0usize;
     for _ in 0..1_000 {
         let (mutated, kind) = corrupt_snapshot(&bytes, &mut rng);
-        kinds_seen[SnapshotMutationKind::ALL.iter().position(|&k| k == kind).unwrap()] += 1;
+        kinds_seen[SnapshotMutationKind::ALL
+            .iter()
+            .position(|&k| k == kind)
+            .unwrap()] += 1;
         match SnapshotArchive::parse(&mutated) {
             Ok(archive) => {
                 still_parse += 1;

@@ -188,7 +188,10 @@ fn results_json(scale_name: &str, outcomes: &[Outcome]) -> String {
         }
         entry.compact()
     });
-    let ok = outcomes.iter().filter(|o| matches!(o.status, Status::Ok)).count();
+    let ok = outcomes
+        .iter()
+        .filter(|o| matches!(o.status, Status::Ok))
+        .count();
     let mut body = JsonObject::new()
         .string("scale", scale_name)
         .array("experiments", experiments)
@@ -291,8 +294,12 @@ fn main() {
         let outcome = run_isolated(id, scale, budget, inject);
         match &outcome.status {
             Status::Ok => println!("[{id} completed in {:.1}s]\n", outcome.seconds),
-            Status::Panicked(msg) => eprintln!("[{id} PANICKED after {:.1}s: {msg}]\n", outcome.seconds),
-            Status::TimedOut => eprintln!("[{id} TIMED OUT after {:.1}s budget]\n", outcome.seconds),
+            Status::Panicked(msg) => {
+                eprintln!("[{id} PANICKED after {:.1}s: {msg}]\n", outcome.seconds)
+            }
+            Status::TimedOut => {
+                eprintln!("[{id} TIMED OUT after {:.1}s budget]\n", outcome.seconds)
+            }
         }
         failed |= !matches!(outcome.status, Status::Ok);
         outcomes.push(outcome);

@@ -155,7 +155,8 @@ fn cmd_gen(mut args: Vec<String>) {
             exit(2);
         })
         .into();
-    let suite = take_value(&mut args, "--suite").map_or(1, |v| parse_number("--suite", &v)) as usize;
+    let suite =
+        take_value(&mut args, "--suite").map_or(1, |v| parse_number("--suite", &v)) as usize;
     let loads = take_value(&mut args, "--loads").map_or(10_000, |v| parse_number("--loads", &v));
     let specs = catalog();
     if suite >= specs.len() {
@@ -180,7 +181,10 @@ fn cmd_gen(mut args: Vec<String>) {
 
 fn outcome_json(kind: BackendKind, outcome: &RunOutcome) -> String {
     let s = &outcome.stats;
-    let resumed = outcome.resumed_from.as_ref().map(|p| p.display().to_string());
+    let resumed = outcome
+        .resumed_from
+        .as_ref()
+        .map(|p| p.display().to_string());
     JsonObject::new()
         .string("predictor", kind.name())
         .u64("events", outcome.events)
@@ -217,7 +221,10 @@ fn service_stats_json(stats: &ServiceStats) -> String {
             .string("rung", w.rung.name())
             .u64("served", w.served)
             .u64("served_hybrid", w.served_by_rung[Rung::Hybrid.index()])
-            .u64("served_stride_only", w.served_by_rung[Rung::StrideOnly.index()])
+            .u64(
+                "served_stride_only",
+                w.served_by_rung[Rung::StrideOnly.index()],
+            )
             .u64("served_bypass", w.served_by_rung[Rung::Bypass.index()])
             .u64("deadline_queued", w.deadline_queued)
             .u64("deadline_backend", w.deadline_backend)
@@ -432,8 +439,10 @@ fn cmd_serve(mut args: Vec<String>) {
         None
     };
     let recovered_from = recovered.as_ref().map(|(path, _)| path.clone());
-    let (service, warm) =
-        Service::restore_or_cold(config, recovered.as_ref().map(|(_, bytes)| bytes.as_slice()));
+    let (service, warm) = Service::restore_or_cold(
+        config,
+        recovered.as_ref().map(|(_, bytes)| bytes.as_slice()),
+    );
     match (&recovered_from, warm) {
         (Some(path), true) => eprintln!("warm restart from {}", path.display()),
         (Some(path), false) => {
@@ -515,8 +524,7 @@ fn cmd_client(mut args: Vec<String>) {
     });
     let trace_path = take_value(&mut args, "--trace").map(PathBuf::from);
     let take = take_value(&mut args, "--take").map(|v| parse_number("--take", &v));
-    let budget =
-        take_value(&mut args, "--budget-ms").map(|v| parse_number("--budget-ms", &v));
+    let budget = take_value(&mut args, "--budget-ms").map(|v| parse_number("--budget-ms", &v));
     let want_stats = take_flag(&mut args, "--stats");
     let shutdown_ms = take_value(&mut args, "--shutdown").map(|v| parse_number("--shutdown", &v));
     let retries = take_value(&mut args, "--connect-retries")
@@ -572,9 +580,9 @@ fn cmd_client(mut args: Vec<String>) {
                         actual: load.addr,
                     };
                     match client.serve(request, budget) {
-                        Ok(WireResponse::Response(Response::Observed {
-                            correct: hit, ..
-                        })) => correct += u64::from(hit),
+                        Ok(WireResponse::Response(Response::Observed { correct: hit, .. })) => {
+                            correct += u64::from(hit)
+                        }
                         Ok(WireResponse::Error { .. }) => errors += 1,
                         Ok(other) => {
                             eprintln!("unexpected response {other:?}");
@@ -702,7 +710,10 @@ fn cmd_top(mut args: Vec<String>) {
         }
     };
     if json {
-        println!("{}", cap_harness::json::obs_snapshot_json(&snapshot).pretty());
+        println!(
+            "{}",
+            cap_harness::json::obs_snapshot_json(&snapshot).pretty()
+        );
     } else {
         print!("{}", snapshot.render_top(events));
     }
@@ -818,9 +829,9 @@ fn respawn_node(
         write_checkpoint(&node_dir, seq, &replica)?;
         cmd.arg("--resume");
         match drift {
-            Some(drift) => eprintln!(
-                "promoting node {node} from replica (drift bound: {drift} requests)"
-            ),
+            Some(drift) => {
+                eprintln!("promoting node {node} from replica (drift bound: {drift} requests)")
+            }
             None => eprintln!(
                 "promoting node {node} from replica (drift bound: unknown, older generation)"
             ),
@@ -882,8 +893,12 @@ fn apply_admin_command(router: &Router, line: &str) {
             match index
                 .parse::<usize>()
                 .map_err(|e| e.to_string())
-                .and_then(|i| router.remove_node(i).map(|r| (i, r)).map_err(|e| e.to_string()))
-            {
+                .and_then(|i| {
+                    router
+                        .remove_node(i)
+                        .map(|r| (i, r))
+                        .map_err(|e| e.to_string())
+                }) {
                 Ok((index, (_archive, epoch))) => eprintln!(
                     "admin: node {index} removed (epoch {epoch}, {} live nodes)",
                     router.live_node_count()
@@ -911,7 +926,8 @@ fn cmd_route(mut args: Vec<String>) {
     let addr = take_value(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_owned());
     let port_file = take_value(&mut args, "--port-file").map(PathBuf::from);
     let ship_every = Duration::from_millis(
-        take_value(&mut args, "--ship-every-ms").map_or(500, |v| parse_number("--ship-every-ms", &v)),
+        take_value(&mut args, "--ship-every-ms")
+            .map_or(500, |v| parse_number("--ship-every-ms", &v)),
     );
     let probe_every = Duration::from_millis(
         take_value(&mut args, "--probe-every-ms")
@@ -933,7 +949,11 @@ fn cmd_route(mut args: Vec<String>) {
     }
 
     let mut addrs = Vec::new();
-    for part in nodes_arg.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+    for part in nodes_arg
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+    {
         match part.to_socket_addrs().ok().and_then(|mut it| it.next()) {
             Some(a) => addrs.push(a),
             None => {

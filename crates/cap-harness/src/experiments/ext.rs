@@ -102,7 +102,8 @@ pub fn variable_history(scale: &Scale) -> (Vec<SuiteResults>, ExperimentReport) 
         title: "Variable history length (§6 future work, TAGE-style)".into(),
         tables: vec![("fixed vs variable context lengths".into(), table)],
         notes: vec![
-            "longest-match over short+long tables combines fast warm-up with run disambiguation".into(),
+            "longest-match over short+long tables combines fast warm-up with run disambiguation"
+                .into(),
         ],
     };
     (results, report)

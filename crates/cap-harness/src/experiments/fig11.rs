@@ -124,8 +124,14 @@ mod tests {
         let (data, _) = run(&Scale::tiny());
         let (rate0, acc0) = data.hybrid_point(0);
         let (rate8, acc8) = data.hybrid_point(2);
-        assert!(rate8 < rate0, "gap must reduce rate: {rate8:.3} vs {rate0:.3}");
-        assert!(acc8 < acc0, "gap must reduce accuracy: {acc8:.4} vs {acc0:.4}");
+        assert!(
+            rate8 < rate0,
+            "gap must reduce rate: {rate8:.3} vs {rate0:.3}"
+        );
+        assert!(
+            acc8 < acc0,
+            "gap must reduce accuracy: {acc8:.4} vs {acc0:.4}"
+        );
     }
 
     #[test]

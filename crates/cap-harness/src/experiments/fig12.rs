@@ -7,9 +7,7 @@
 //! immediate), staying ≈3.9% ahead of the enhanced stride.
 
 use super::ExperimentReport;
-use crate::runner::{
-    geomean_speedup, run_speedup_sweep, PredictorFactory, Scale, SpeedupRow,
-};
+use crate::runner::{geomean_speedup, run_speedup_sweep, PredictorFactory, Scale, SpeedupRow};
 use crate::table::{ratio, Table};
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
 use cap_predictor::load_buffer::LoadBufferConfig;
@@ -37,14 +35,28 @@ impl Fig12 {
     /// Geomean speedup for (suite, config, gapped?).
     #[must_use]
     pub fn suite_speedup(&self, suite: Suite, config: usize, gapped: bool) -> f64 {
-        let rows = Self::suite_rows(if gapped { &self.gapped } else { &self.immediate }, suite);
+        let rows = Self::suite_rows(
+            if gapped {
+                &self.gapped
+            } else {
+                &self.immediate
+            },
+            suite,
+        );
         geomean_speedup(&rows, config)
     }
 
     /// Overall geomean speedup for (config, gapped?).
     #[must_use]
     pub fn overall_speedup(&self, config: usize, gapped: bool) -> f64 {
-        geomean_speedup(if gapped { &self.gapped } else { &self.immediate }, config)
+        geomean_speedup(
+            if gapped {
+                &self.gapped
+            } else {
+                &self.immediate
+            },
+            config,
+        )
     }
 }
 
@@ -122,7 +134,10 @@ mod tests {
         let (data, _) = run(&Scale::tiny());
         let imm = data.overall_speedup(1, false);
         let gap = data.overall_speedup(1, true);
-        assert!(gap <= imm + 1e-9, "gap must not beat immediate: {gap:.3} vs {imm:.3}");
+        assert!(
+            gap <= imm + 1e-9,
+            "gap must not beat immediate: {gap:.3} vs {imm:.3}"
+        );
         assert!(gap > 1.0, "gapped hybrid must still help: {gap:.3}");
     }
 

@@ -107,7 +107,10 @@ mod tests {
         let (data, _) = run(&Scale::tiny());
         let dm = data.results[1].suite_mean(PredictorStats::prediction_rate);
         let w2 = data.results[2].suite_mean(PredictorStats::prediction_rate);
-        assert!(w2 >= dm, "2-way {w2:.3} must not lose to direct-mapped {dm:.3}");
+        assert!(
+            w2 >= dm,
+            "2-way {w2:.3} must not lose to direct-mapped {dm:.3}"
+        );
     }
 
     #[test]

@@ -68,11 +68,7 @@ pub fn run(scale: &Scale) -> (Fig7, ExperimentReport) {
         ]);
     }
     let data = Fig7 { rows };
-    let mut summary = Table::new(vec![
-        "aggregate".into(),
-        "stride".into(),
-        "hybrid".into(),
-    ]);
+    let mut summary = Table::new(vec!["aggregate".into(), "stride".into(), "hybrid".into()]);
     summary.add_row(vec![
         "geomean speedup".into(),
         ratio(data.stride_geomean()),

@@ -94,7 +94,10 @@ pub fn run(scale: &Scale) -> (Fig8, ExperimentReport) {
         id: "fig8",
         title: "Selector performance".into(),
         tables: vec![
-            ("selector state distribution (dual-predicted loads)".into(), table),
+            (
+                "selector state distribution (dual-predicted loads)".into(),
+                table,
+            ),
             ("context".into(), extra),
         ],
         notes: vec![

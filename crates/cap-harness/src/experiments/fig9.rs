@@ -72,8 +72,7 @@ pub fn run(scale: &Scale) -> (Fig9, ExperimentReport) {
     let results = run_suite_sweep(scale, &factories, 0);
     let rate = |r: &SuiteResults| r.suite_mean(PredictorStats::correct_spec_rate);
     let with_correlation: Vec<f64> = results[..HISTORY_LENGTHS.len()].iter().map(rate).collect();
-    let without_correlation: Vec<f64> =
-        results[HISTORY_LENGTHS.len()..].iter().map(rate).collect();
+    let without_correlation: Vec<f64> = results[HISTORY_LENGTHS.len()..].iter().map(rate).collect();
 
     let mut table = Table::new(vec![
         "history length".into(),

@@ -254,8 +254,14 @@ mod tests {
         let last = rate(0);
         let enhanced = rate(2);
         let hybrid = rate(4);
-        assert!(last > 0.15, "last-address must cover a real fraction: {last:.3}");
-        assert!(enhanced > last, "stride must add coverage over last-address");
+        assert!(
+            last > 0.15,
+            "last-address must cover a real fraction: {last:.3}"
+        );
+        assert!(
+            enhanced > last,
+            "stride must add coverage over last-address"
+        );
         assert!(hybrid > enhanced, "hybrid must add coverage over stride");
     }
 

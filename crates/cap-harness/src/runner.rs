@@ -97,7 +97,10 @@ impl PredictorFactory {
     #[must_use]
     pub fn enhanced_stride() -> Self {
         Self::new("stride", || {
-            StridePredictor::new(LoadBufferConfig::paper_default(), StrideParams::paper_default())
+            StridePredictor::new(
+                LoadBufferConfig::paper_default(),
+                StrideParams::paper_default(),
+            )
         })
     }
 
@@ -110,7 +113,9 @@ impl PredictorFactory {
     /// The paper's hybrid CAP/enhanced-stride predictor.
     #[must_use]
     pub fn hybrid() -> Self {
-        Self::new("hybrid", || HybridPredictor::new(HybridConfig::paper_default()))
+        Self::new("hybrid", || {
+            HybridPredictor::new(HybridConfig::paper_default())
+        })
     }
 
     /// The last-address baseline.
@@ -295,7 +300,11 @@ mod tests {
         assert_eq!(rows.len(), 8);
         for r in &rows {
             let s = r.speedup(0);
-            assert!(s > 0.9 && s < 3.0, "{}: speedup {s:.3} out of range", r.trace);
+            assert!(
+                s > 0.9 && s < 3.0,
+                "{}: speedup {s:.3} out of range",
+                r.trace
+            );
         }
         let g = geomean_speedup(&rows, 0);
         assert!(g >= 1.0, "prediction should help on average, got {g:.3}");

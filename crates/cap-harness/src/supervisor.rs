@@ -33,9 +33,9 @@ use crate::checkpoint::{
 use crate::names;
 use cap_faults::fs::{RealVfs, Vfs};
 use cap_faults::plan::FaultPlan;
+use cap_obs::{Classify, ErrorClass, Obs};
 use cap_predictor::drive::ControlState;
 use cap_predictor::metrics::PredictorStats;
-use cap_obs::{Classify, ErrorClass, Obs};
 use cap_rand::{rngs::StdRng, SeedableRng};
 use cap_service::backend::{Backend, BackendKind};
 use cap_snapshot::{
@@ -602,9 +602,12 @@ fn initial_state(
             }
         }
         Resume::From(path) => {
-            let bytes = with_retry_observed(&config.obs, &config.retry, |_| true, || {
-                config.vfs.read(path)
-            })?;
+            let bytes = with_retry_observed(
+                &config.obs,
+                &config.retry,
+                |_| true,
+                || config.vfs.read(path),
+            )?;
             let state = decode_checkpoint_timed(&bytes, config, identity)?;
             Ok((state, Some(path.clone()), Vec::new()))
         }
@@ -708,7 +711,8 @@ impl JournalWriter {
     }
 
     fn buffer(&mut self, pos: CursorPos, event: &TraceEvent) {
-        self.pending.extend_from_slice(&encode_journal_event(pos, event));
+        self.pending
+            .extend_from_slice(&encode_journal_event(pos, event));
         self.pending_records += 1;
     }
 
@@ -776,7 +780,14 @@ fn replay_journal(
     for payload in &replay.records {
         match decode_journal_event(payload) {
             Ok((pos, event)) => {
-                apply_event(state, &event, pos.events, config, chaos_plan, faults_applied);
+                apply_event(
+                    state,
+                    &event,
+                    pos.events,
+                    config,
+                    chaos_plan,
+                    faults_applied,
+                );
                 state.pos = pos;
                 replayed += 1;
                 clean_len += JOURNAL_RECORD_OVERHEAD + payload.len();
@@ -815,9 +826,12 @@ pub fn run(config: &SupervisorConfig) -> Result<RunOutcome, SupervisorError> {
             "journal_flush_every needs a checkpoint directory".to_owned(),
         ));
     }
-    let identity = with_retry_observed(&config.obs, &config.retry, |_| true, || {
-        trace_identity(&config.trace)
-    })?;
+    let identity = with_retry_observed(
+        &config.obs,
+        &config.retry,
+        |_| true,
+        || trace_identity(&config.trace),
+    )?;
     let (mut state, resumed_from, recovery_removed) = initial_state(config, identity)?;
 
     // One planned fault per chaos tick, drawn from the checkpointed RNG so
@@ -849,9 +863,12 @@ pub fn run(config: &SupervisorConfig) -> Result<RunOutcome, SupervisorError> {
         }
     }
 
-    let mut cursor = with_retry_observed(&config.obs, &config.retry, |_| true, || {
-        TraceCursor::open_at(&config.trace, state.pos)
-    })?;
+    let mut cursor = with_retry_observed(
+        &config.obs,
+        &config.retry,
+        |_| true,
+        || TraceCursor::open_at(&config.trace, state.pos),
+    )?;
 
     loop {
         let next = with_retry_observed(
@@ -864,7 +881,14 @@ pub fn run(config: &SupervisorConfig) -> Result<RunOutcome, SupervisorError> {
 
         let pos = cursor.position();
         let events = pos.events;
-        apply_event(&mut state, &event, events, config, &chaos_plan, &mut faults_applied);
+        apply_event(
+            &mut state,
+            &event,
+            events,
+            config,
+            &chaos_plan,
+            &mut faults_applied,
+        );
 
         if journaling {
             journal.buffer(pos, &event);
@@ -884,9 +908,12 @@ pub fn run(config: &SupervisorConfig) -> Result<RunOutcome, SupervisorError> {
                         .obs
                         .record(names::CKPT_ENCODE_US, t0.elapsed().as_micros() as u64);
                 }
-                with_retry_observed(&config.obs, &config.retry, |_| true, || {
-                    write_checkpoint_with(vfs, dir, events, &bytes, &config.obs)
-                })?;
+                with_retry_observed(
+                    &config.obs,
+                    &config.retry,
+                    |_| true,
+                    || write_checkpoint_with(vfs, dir, events, &bytes, &config.obs),
+                )?;
                 let rotation = rotate_checkpoints_with(vfs, dir, config.keep, &config.obs)?;
                 if let Some(e) = &rotation.first_error {
                     config.obs.incr(names::CKPT_ROTATE_FAILED);
@@ -951,10 +978,7 @@ mod tests {
     use std::fs;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cap-supervisor-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("cap-supervisor-{tag}-{}", std::process::id()));
         fs::create_dir_all(&dir).expect("create temp dir");
         dir
     }
@@ -1024,7 +1048,11 @@ mod tests {
             base.chaos_every = 97;
             base.seed = 0xD1CE;
             let reference = run(&base).unwrap();
-            assert!(reference.faults_applied > 0, "chaos must land on a warm {}", d.name);
+            assert!(
+                reference.faults_applied > 0,
+                "chaos must land on a warm {}",
+                d.name
+            );
 
             let ckpt_dir = dir.join(d.name);
             let mut cfg = base.clone();
@@ -1157,18 +1185,30 @@ mod tests {
             max_elapsed: None,
         };
         let mut calls = 0;
-        let result: Result<u32, _> = with_retry(&policy, |_| true, || {
-            calls += 1;
-            if calls < 3 { Err("transient") } else { Ok(7) }
-        });
+        let result: Result<u32, _> = with_retry(
+            &policy,
+            |_| true,
+            || {
+                calls += 1;
+                if calls < 3 {
+                    Err("transient")
+                } else {
+                    Ok(7)
+                }
+            },
+        );
         assert_eq!(result, Ok(7));
         assert_eq!(calls, 3);
 
         let mut calls = 0;
-        let result: Result<u32, _> = with_retry(&policy, |_| false, || {
-            calls += 1;
-            Err("fatal")
-        });
+        let result: Result<u32, _> = with_retry(
+            &policy,
+            |_| false,
+            || {
+                calls += 1;
+                Err("fatal")
+            },
+        );
         assert_eq!(result, Err(RetryError::Exhausted("fatal")));
         assert_eq!(calls, 1, "non-transient errors must not be retried");
     }
@@ -1186,10 +1226,14 @@ mod tests {
         };
         let mut calls = 0u32;
         let start = std::time::Instant::now();
-        let result: Result<u32, _> = with_retry(&policy, |_| true, || {
-            calls += 1;
-            Err("still down")
-        });
+        let result: Result<u32, _> = with_retry(
+            &policy,
+            |_| true,
+            || {
+                calls += 1;
+                Err("still down")
+            },
+        );
         match result {
             Err(RetryError::TimedOut {
                 elapsed,
@@ -1217,9 +1261,7 @@ mod tests {
         }
         .into();
         match err {
-            SupervisorError::RetryTimeout {
-                attempts, last, ..
-            } => {
+            SupervisorError::RetryTimeout { attempts, last, .. } => {
                 assert_eq!(attempts, 2);
                 assert!(matches!(*last, SupervisorError::Io(_)));
             }
@@ -1249,10 +1291,19 @@ mod tests {
             snap.counter(names::CKPT_WRITTEN),
             Some(outcome.checkpoints_written)
         );
-        let encode = snap.histogram(names::CKPT_ENCODE_US).expect("encode histogram");
+        let encode = snap
+            .histogram(names::CKPT_ENCODE_US)
+            .expect("encode histogram");
         assert_eq!(encode.count, outcome.checkpoints_written);
-        assert!(snap.histogram(names::CKPT_DECODE_US).is_none(), "no resume, no decode");
-        assert_eq!(snap.counter(names::RETRY_ATTEMPTS), None, "healthy I/O never re-tries");
+        assert!(
+            snap.histogram(names::CKPT_DECODE_US).is_none(),
+            "no resume, no decode"
+        );
+        assert_eq!(
+            snap.counter(names::RETRY_ATTEMPTS),
+            None,
+            "healthy I/O never re-tries"
+        );
 
         // A resume decodes exactly one checkpoint, timed.
         let resume_registry = std::sync::Arc::new(cap_obs::Registry::new());
@@ -1262,7 +1313,9 @@ mod tests {
         let resumed = run(&cfg2).unwrap();
         assert!(resumed.resumed_from.is_some());
         let snap2 = resume_registry.snapshot();
-        let decode = snap2.histogram(names::CKPT_DECODE_US).expect("decode histogram");
+        let decode = snap2
+            .histogram(names::CKPT_DECODE_US)
+            .expect("decode histogram");
         assert_eq!(decode.count, 1);
 
         fs::remove_dir_all(&dir).ok();

@@ -131,7 +131,9 @@ mod tests {
         assert_eq!(lines.len(), 4);
         // All lines the same width.
         let w = lines[0].len();
-        assert!(lines.iter().all(|l| l.len() == w || l.trim_end().len() <= w));
+        assert!(lines
+            .iter()
+            .all(|l| l.len() == w || l.trim_end().len() <= w));
         assert!(lines[3].starts_with("long-name"));
     }
 

@@ -86,7 +86,10 @@ fn recovery_picks_newest_valid_and_sweeps_the_debris() {
 
     let recovery = recover_latest(&dir).expect("recovers");
     let (chosen, bytes) = recovery.chosen.expect("a valid checkpoint exists");
-    assert_eq!(chosen.file_name().unwrap(), checkpoint_file_name(2_000).as_str());
+    assert_eq!(
+        chosen.file_name().unwrap(),
+        checkpoint_file_name(2_000).as_str()
+    );
     assert_eq!(bytes, valid_archive(2));
 
     // The zero-length file, the torn file, and the tmp orphan are gone;
@@ -134,12 +137,18 @@ fn rotation_at_the_keep_one_boundary() {
     let dir = temp_dir("keep-one");
 
     // Rotating an empty directory with keep = 1 is a no-op, not an error.
-    assert!(rotate_checkpoints(&dir, 1).expect("empty rotates").removed.is_empty());
+    assert!(rotate_checkpoints(&dir, 1)
+        .expect("empty rotates")
+        .removed
+        .is_empty());
 
     // A single checkpoint at keep = 1 sits exactly on the boundary:
     // nothing may be removed.
     write_checkpoint(&dir, 100, &valid_archive(100)).expect("writes");
-    assert!(rotate_checkpoints(&dir, 1).expect("rotates").removed.is_empty());
+    assert!(rotate_checkpoints(&dir, 1)
+        .expect("rotates")
+        .removed
+        .is_empty());
     assert_eq!(list_checkpoints(&dir).unwrap().len(), 1);
 
     // Each additional write followed by keep = 1 rotation removes exactly
@@ -147,7 +156,11 @@ fn rotation_at_the_keep_one_boundary() {
     for events in [200u64, 300, 400] {
         write_checkpoint(&dir, events, &valid_archive(events)).expect("writes");
         let removed = rotate_checkpoints(&dir, 1).expect("rotates");
-        assert_eq!(removed.removed.len(), 1, "exactly the displaced checkpoint goes");
+        assert_eq!(
+            removed.removed.len(),
+            1,
+            "exactly the displaced checkpoint goes"
+        );
         let remaining: Vec<u64> = list_checkpoints(&dir)
             .unwrap()
             .into_iter()
@@ -159,7 +172,10 @@ fn rotation_at_the_keep_one_boundary() {
     // The survivor is still a valid recovery source.
     let recovery = recover_latest(&dir).expect("recovers");
     let (chosen, _) = recovery.chosen.expect("survivor is recoverable");
-    assert_eq!(chosen.file_name().unwrap(), checkpoint_file_name(400).as_str());
+    assert_eq!(
+        chosen.file_name().unwrap(),
+        checkpoint_file_name(400).as_str()
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -173,7 +189,11 @@ fn all_corrupt_checkpoints_yield_a_cold_service_not_an_error() {
     // garbage, a torn prefix of a real archive, and a real service
     // snapshot with a flipped bit.
     fs::write(dir.join(checkpoint_file_name(10)), b"").expect("empty");
-    fs::write(dir.join(checkpoint_file_name(20)), b"definitely not a snapshot").expect("garbage");
+    fs::write(
+        dir.join(checkpoint_file_name(20)),
+        b"definitely not a snapshot",
+    )
+    .expect("garbage");
     fs::write(dir.join(checkpoint_file_name(30)), &valid_archive(30)[..9]).expect("torn");
     let mut flipped = {
         let service = Service::start(ServiceConfig::default());
@@ -186,7 +206,10 @@ fn all_corrupt_checkpoints_yield_a_cold_service_not_an_error() {
     // Recovery must not error; the CRC-failing candidates are swept and
     // nothing survives to restore from.
     let recovery = recover_latest(&dir).expect("recovery is not an error");
-    assert!(recovery.chosen.is_none(), "no corrupt checkpoint is trusted");
+    assert!(
+        recovery.chosen.is_none(),
+        "no corrupt checkpoint is trusted"
+    );
     assert_eq!(recovery.removed.len(), 4);
 
     // The serve path degrades to a cold start and the service works.
@@ -229,7 +252,10 @@ fn tmp_orphan_numerically_newest_is_swept_never_chosen() {
 
     let recovery = recover_latest(&dir).expect("recovers");
     let (chosen, bytes) = recovery.chosen.expect("published checkpoint wins");
-    assert_eq!(chosen.file_name().unwrap(), checkpoint_file_name(200).as_str());
+    assert_eq!(
+        chosen.file_name().unwrap(),
+        checkpoint_file_name(200).as_str()
+    );
     assert_eq!(bytes, valid_archive(200));
     assert!(recovery.removed.contains(&orphan));
     assert!(!orphan.exists());
@@ -256,7 +282,10 @@ fn crash_mid_rotation_leaves_a_recoverable_directory() {
 
     let recovery = recover_latest_with(&vfs, dir).expect("recovers after the crash");
     let (chosen, bytes) = recovery.chosen.expect("newest checkpoint survived");
-    assert_eq!(chosen.file_name().unwrap(), checkpoint_file_name(500).as_str());
+    assert_eq!(
+        chosen.file_name().unwrap(),
+        checkpoint_file_name(500).as_str()
+    );
     assert_eq!(bytes, valid_archive(500));
 
     // The next rotation finishes what the crashed one started.
@@ -281,7 +310,8 @@ fn sticky_undeletable_checkpoint_does_not_abort_rotation() {
     // A journal based on checkpoint 100: prunable only once its base is
     // actually gone.
     let journal = dir.join(journal_file_name(100));
-    vfs.write_file(&journal, &encode_journal_header(100)).expect("journal");
+    vfs.write_file(&journal, &encode_journal_header(100))
+        .expect("journal");
     vfs.sync_file(&journal).expect("sync");
     vfs.sync_dir(dir).expect("sync dir");
 
@@ -326,6 +356,9 @@ fn foreign_files_are_never_touched() {
     let recovery = recover_latest(&dir).expect("recovers");
     assert!(recovery.chosen.is_some());
     assert!(dir.join("notes.txt").exists());
-    assert!(dir.join("ckpt-12.capsnap").exists(), "non-canonical names are ignored");
+    assert!(
+        dir.join("ckpt-12.capsnap").exists(),
+        "non-canonical names are ignored"
+    );
     fs::remove_dir_all(&dir).ok();
 }

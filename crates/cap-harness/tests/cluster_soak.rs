@@ -97,10 +97,8 @@ struct Fleet {
 
 impl Fleet {
     fn start(name: &str, n: usize) -> Self {
-        let base = std::env::temp_dir().join(format!(
-            "cap-cluster-soak-{name}-{}",
-            std::process::id()
-        ));
+        let base =
+            std::env::temp_dir().join(format!("cap-cluster-soak-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         let slots = (0..n)
             .map(|i| {
@@ -203,10 +201,7 @@ fn chaos_soak_accounts_every_request_under_seeded_kills() {
     let second_kill = 6_500 + splitmix(&mut rng) % 1_000;
     let first_victim = (splitmix(&mut rng) % 3) as usize;
     let second_victim = (first_victim + 1 + (splitmix(&mut rng) % 2) as usize) % 3;
-    let mut plan = vec![
-        (first_kill, first_victim),
-        (second_kill, second_victim),
-    ];
+    let mut plan = vec![(first_kill, first_victim), (second_kill, second_victim)];
     let mut pending_respawn: Option<(u64, usize)> = None;
 
     let (mut answered, mut shed, mut failover, mut other) = (0u64, 0u64, 0u64, 0u64);
@@ -244,7 +239,12 @@ fn chaos_soak_accounts_every_request_under_seeded_kills() {
     assert!(acct.balances(), "ledger must balance: {acct:?}");
     assert_eq!(acct.accepted, TOTAL, "every request entered the ledger");
     assert_eq!(
-        (acct.answered, acct.shed, acct.failover_attributed, acct.other_error),
+        (
+            acct.answered,
+            acct.shed,
+            acct.failover_attributed,
+            acct.other_error
+        ),
         (answered, shed, failover, other),
         "the router's ledger and the client's tally must agree"
     );
@@ -289,7 +289,10 @@ fn rolling_restart_is_bit_identical_to_an_unrestarted_control_fleet() {
             control
                 .call(request, Some(Duration::from_secs(5)))
                 .expect("control fleet is never disturbed");
-            match (draining, subject.call(request, Some(Duration::from_secs(5)))) {
+            match (
+                draining,
+                subject.call(request, Some(Duration::from_secs(5))),
+            ) {
                 (_, Ok(_)) => {}
                 (Some(d), Err(ClusterError::Migrating { node })) => {
                     assert_eq!(node, d);
@@ -343,8 +346,15 @@ fn rolling_restart_is_bit_identical_to_an_unrestarted_control_fleet() {
     let s = subject.accounting();
     assert!(c.balances() && s.balances());
     assert_eq!(c.answered, sent);
-    assert_eq!(s.answered, sent, "every request is eventually answered once");
-    assert_eq!(s.failover_attributed, s.accepted - sent, "retries account for the gap");
+    assert_eq!(
+        s.answered, sent,
+        "every request is eventually answered once"
+    );
+    assert_eq!(
+        s.failover_attributed,
+        s.accepted - sent,
+        "retries account for the gap"
+    );
 
     // The capstone: node for node, the restarted fleet's live state is
     // bit-identical to the control's.

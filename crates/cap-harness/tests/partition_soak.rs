@@ -133,7 +133,9 @@ fn phase_a_exact_accounting_under_full_chaos() {
     let total: usize = 10_000;
     let stream = traffic(total);
 
-    let nodes: Vec<LocalNode> = (0..3).map(|_| LocalNode::start(node_config()).expect("node")).collect();
+    let nodes: Vec<LocalNode> = (0..3)
+        .map(|_| LocalNode::start(node_config()).expect("node"))
+        .collect();
     let chaos = NetFaultConfig {
         p_reset: 0.06,
         p_truncate: 0.04,
@@ -201,9 +203,14 @@ fn phase_a_exact_accounting_under_full_chaos() {
             // Kill node 0 outright, then promote the best surviving
             // replica into its slot (reached directly, not proxied).
             let victim = nodes[0].take().expect("node 0 alive");
-            victim.stop(Duration::from_millis(200)).expect("kill node 0");
+            victim
+                .stop(Duration::from_millis(200))
+                .expect("kill node 0");
             let (bytes, drift) = router.replica_any(0).expect("a replica survived the chaos");
-            assert!(drift.is_some(), "the router-held replica carries an exact bound");
+            assert!(
+                drift.is_some(),
+                "the router-held replica carries an exact bound"
+            );
             let restored = LocalNode::start_restored(node_config(), &bytes).expect("restore");
             router.promote(0, restored.addr(), None).expect("promotion");
             replacement = Some(restored);
@@ -218,7 +225,10 @@ fn phase_a_exact_accounting_under_full_chaos() {
         ledger.matches(&acct),
         "client tally diverged from the router ledger:\n  client {ledger:?}\n  router {acct:?}"
     );
-    assert!(acct.accepted >= total as u64, "retries only add, never subtract");
+    assert!(
+        acct.accepted >= total as u64,
+        "retries only add, never subtract"
+    );
     assert!(
         acct.answered > (total / 2) as u64,
         "most traffic must survive the chaos: {acct:?}"
@@ -227,7 +237,9 @@ fn phase_a_exact_accounting_under_full_chaos() {
     // The chaos actually happened, and was classified.
     let snap = registry.snapshot();
     assert!(
-        snap.counter(cap_cluster::names::PARTITION_SUSPECTED).unwrap_or(0) > 0,
+        snap.counter(cap_cluster::names::PARTITION_SUSPECTED)
+            .unwrap_or(0)
+            > 0,
         "black-hole windows must surface the partition signature"
     );
     assert_eq!(
@@ -235,12 +247,14 @@ fn phase_a_exact_accounting_under_full_chaos() {
         Some(1),
         "exactly one failover promotion"
     );
-    let dropped: u64 = proxies.iter().map(|p| p.stats().frames_dropped_partition).sum();
-    assert!(dropped > 0, "the black hole must have swallowed frames");
-    let injected = proxies
+    let dropped: u64 = proxies
         .iter()
-        .map(ChaosProxy::stats)
-        .fold(0u64, |acc, s| acc + s.resets + s.truncations + s.garbles + s.delayed + s.trickled);
+        .map(|p| p.stats().frames_dropped_partition)
+        .sum();
+    assert!(dropped > 0, "the black hole must have swallowed frames");
+    let injected = proxies.iter().map(ChaosProxy::stats).fold(0u64, |acc, s| {
+        acc + s.resets + s.truncations + s.garbles + s.delayed + s.trickled
+    });
     assert!(injected > 0, "the fault plan must have fired");
 
     for p in proxies {
@@ -266,15 +280,20 @@ fn phase_b_partition_heals_to_bit_identical_state() {
     // Subject fleet: two nodes behind quiet proxies (pure pipes plus
     // the partition switch — every failure is attributable to the
     // partition alone). Control fleet: the same two-node shape, bare.
-    let subject_nodes: Vec<LocalNode> =
-        (0..2).map(|_| LocalNode::start(node_config()).expect("subject node")).collect();
-    let control_nodes: Vec<LocalNode> =
-        (0..2).map(|_| LocalNode::start(node_config()).expect("control node")).collect();
+    let subject_nodes: Vec<LocalNode> = (0..2)
+        .map(|_| LocalNode::start(node_config()).expect("subject node"))
+        .collect();
+    let control_nodes: Vec<LocalNode> = (0..2)
+        .map(|_| LocalNode::start(node_config()).expect("control node"))
+        .collect();
     let proxies: Vec<ChaosProxy> = subject_nodes
         .iter()
         .map(|n| {
-            ChaosProxy::start(n.addr(), NetFaultPlan::new(PLAN_SEED, NetFaultConfig::quiet()))
-                .expect("proxy")
+            ChaosProxy::start(
+                n.addr(),
+                NetFaultPlan::new(PLAN_SEED, NetFaultConfig::quiet()),
+            )
+            .expect("proxy")
         })
         .collect();
     let subject_addrs: Vec<_> = proxies.iter().map(ChaosProxy::addr).collect();
@@ -312,8 +331,7 @@ fn phase_b_partition_heals_to_bit_identical_state() {
     let kill_at = partition_at + total / 10;
     let heal_at = total / 3 * 2;
 
-    let mut subject_nodes: Vec<Option<LocalNode>> =
-        subject_nodes.into_iter().map(Some).collect();
+    let mut subject_nodes: Vec<Option<LocalNode>> = subject_nodes.into_iter().map(Some).collect();
     let mut replacement: Option<LocalNode> = None;
     let mut mirrored = 0u64;
     for (i, &(ip, actual)) in stream.iter().enumerate() {
@@ -325,7 +343,9 @@ fn phase_b_partition_heals_to_bit_identical_state() {
         }
         if i == kill_at {
             let victim = subject_nodes[0].take().expect("node 0 alive");
-            victim.stop(Duration::from_millis(200)).expect("kill behind partition");
+            victim
+                .stop(Duration::from_millis(200))
+                .expect("kill behind partition");
         }
         if i == heal_at {
             proxies[0].heal();
@@ -340,10 +360,16 @@ fn phase_b_partition_heals_to_bit_identical_state() {
                 .expect("ring successor holds shard 0's replica");
             let (local, _) = subject.replica(0).expect("router-held copy");
             assert_eq!(from_successor, local, "successor and router copies agree");
-            assert_eq!(drift, Some(0), "kill-behind-partition promotes with zero drift");
+            assert_eq!(
+                drift,
+                Some(0),
+                "kill-behind-partition promotes with zero drift"
+            );
             let restored =
                 LocalNode::start_restored(node_config(), &from_successor).expect("restore");
-            subject.promote(0, restored.addr(), None).expect("promotion");
+            subject
+                .promote(0, restored.addr(), None)
+                .expect("promotion");
             replacement = Some(restored);
         }
         // Drive the subject; mirror *successes* (in stream order — one
@@ -356,7 +382,9 @@ fn phase_b_partition_heals_to_bit_identical_state() {
         loop {
             match subject.call(observe(ip, actual), None) {
                 Ok(_) => {
-                    control.call(observe(ip, actual), None).expect("control mirrors");
+                    control
+                        .call(observe(ip, actual), None)
+                        .expect("control mirrors");
                     mirrored += 1;
                     break;
                 }
@@ -395,8 +423,7 @@ fn phase_b_partition_heals_to_bit_identical_state() {
     );
 
     let subject_final_0 = pull_direct(replacement.as_ref().expect("promoted").addr());
-    let subject_final_1 =
-        pull_direct(subject_nodes[1].as_ref().expect("node 1 alive").addr());
+    let subject_final_1 = pull_direct(subject_nodes[1].as_ref().expect("node 1 alive").addr());
     let control_final_0 = pull_direct(control_nodes[0].addr());
     let control_final_1 = pull_direct(control_nodes[1].addr());
     assert_eq!(
@@ -411,7 +438,11 @@ fn phase_b_partition_heals_to_bit_identical_state() {
 
     // The partition was real and was classified as one.
     let snap = registry.snapshot();
-    assert!(snap.counter(cap_cluster::names::PARTITION_SUSPECTED).unwrap_or(0) > 0);
+    assert!(
+        snap.counter(cap_cluster::names::PARTITION_SUSPECTED)
+            .unwrap_or(0)
+            > 0
+    );
     assert!(proxies[0].stats().frames_dropped_partition > 0);
 
     for p in proxies {

@@ -45,7 +45,10 @@ fn keep_going_survives_an_injected_panic_and_emits_partial_json() {
         body.contains(r#""id": "text-coverage", "status": "ok""#),
         "the batch continued past the panic:\n{body}"
     );
-    assert!(body.contains("injected panic"), "panic message captured:\n{body}");
+    assert!(
+        body.contains("injected panic"),
+        "panic message captured:\n{body}"
+    );
     assert!(body.contains(r#""ok": 1"#) && body.contains(r#""failed": 1"#));
 }
 
@@ -64,7 +67,10 @@ fn without_keep_going_a_panic_fails_the_run_but_still_writes_json() {
         .arg(&json)
         .output()
         .expect("spawn repro");
-    assert!(!out.status.success(), "a panicking experiment must fail the run");
+    assert!(
+        !out.status.success(),
+        "a panicking experiment must fail the run"
+    );
     let body = std::fs::read_to_string(&json).expect("JSON written even on failure");
     let _ = std::fs::remove_file(&json);
     assert!(body.contains(r#""status": "panicked""#));
@@ -88,7 +94,10 @@ fn clean_run_reports_every_experiment_ok() {
     assert!(body.contains(r#""id": "fig5", "status": "ok""#));
     assert!(body.contains(r#""failed": 0"#));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("completed in"), "human output preserved:\n{stdout}");
+    assert!(
+        stdout.contains("completed in"),
+        "human output preserved:\n{stdout}"
+    );
 }
 
 #[test]

@@ -51,9 +51,16 @@ fn gen_trace(dir: &Path, loads: u64) -> PathBuf {
 fn metrics_of(json: &str) -> Vec<String> {
     json.lines()
         .filter(|l| {
-            ["\"predictor\"", "\"events\"", "\"loads\"", "\"predictions\"",
-             "\"correct_predictions\"", "\"prediction_rate_bits\"", "\"accuracy_bits\"",
-             "\"killed\""]
+            [
+                "\"predictor\"",
+                "\"events\"",
+                "\"loads\"",
+                "\"predictions\"",
+                "\"correct_predictions\"",
+                "\"prediction_rate_bits\"",
+                "\"accuracy_bits\"",
+                "\"killed\"",
+            ]
             .iter()
             .any(|k| l.trim_start().starts_with(k))
         })
@@ -113,7 +120,10 @@ fn differential_kill_resume(tag: &str, chaos: &[&str], journal_every: Option<u64
         killed.stdout.is_empty(),
         "a killed run reports nothing — only its checkpoints survive"
     );
-    assert!(fs::read_dir(&ckpts).unwrap().count() > 0, "checkpoints on disk");
+    assert!(
+        fs::read_dir(&ckpts).unwrap().count() > 0,
+        "checkpoints on disk"
+    );
     if journal_every.is_some() {
         let journaled = fs::read_dir(&ckpts).unwrap().any(|e| {
             let name = e.unwrap().file_name().to_string_lossy().into_owned();
@@ -194,7 +204,11 @@ fn resume_refuses_a_checkpoint_from_another_predictor() {
         .args(["--resume", "auto"])
         .output()
         .expect("spawn mismatched resume");
-    assert_eq!(wrong.status.code(), Some(3), "mismatch has its own exit code");
+    assert_eq!(
+        wrong.status.code(),
+        Some(3),
+        "mismatch has its own exit code"
+    );
     let stderr = String::from_utf8_lossy(&wrong.stderr);
     assert!(
         stderr.contains("hybrid") && stderr.contains("stride"),

@@ -97,11 +97,17 @@ fn crash_point_matrix(tag: &str, faults: FsFaultConfig) {
     // index space of the matrix.
     let counter = ChaosVfs::new(7, faults);
     let counted = run(&chaos_config(&trace, &counter)).expect("uncrashed chaos run completes");
-    assert!(counted.checkpoints_written >= 2, "cycle must publish and rotate");
+    assert!(
+        counted.checkpoints_written >= 2,
+        "cycle must publish and rotate"
+    );
     assert!(counted.journal_appended > 0, "cycle must journal");
     assert_stats_eq(&counted.stats, &control.stats);
     let total = counter.op_count();
-    assert!(total > 20, "cycle must exercise a realistic op count, got {total}");
+    assert!(
+        total > 20,
+        "cycle must exercise a realistic op count, got {total}"
+    );
 
     for k in 1..=total {
         let vfs = ChaosVfs::new(7, faults);
@@ -156,7 +162,10 @@ fn journal_replay_resumes_bit_identical_to_uninterrupted_twin() {
     let trace = write_temp_trace(&dir, 4_000);
 
     let reference = run(&SupervisorConfig::new(&trace, BackendKind::Hybrid)).expect("reference");
-    assert!(reference.events > 3_000, "trace must outlive the kill point");
+    assert!(
+        reference.events > 3_000,
+        "trace must outlive the kill point"
+    );
 
     let ckpt_dir = dir.join("ckpts");
     let mut cfg = SupervisorConfig::new(&trace, BackendKind::Hybrid);
@@ -166,7 +175,10 @@ fn journal_replay_resumes_bit_identical_to_uninterrupted_twin() {
     cfg.kill_after = Some(3_000);
     let killed = run(&cfg).expect("killed run");
     assert!(killed.killed);
-    assert!(killed.journal_appended > 0, "the gap past the checkpoint must be journaled");
+    assert!(
+        killed.journal_appended > 0,
+        "the gap past the checkpoint must be journaled"
+    );
 
     let mut cfg2 = SupervisorConfig::new(&trace, BackendKind::Hybrid);
     cfg2.checkpoint_dir = Some(ckpt_dir);

@@ -76,7 +76,11 @@ impl Histogram {
     /// Smallest observation (0 when empty).
     #[must_use]
     pub fn min(&self) -> u64 {
-        if self.count == 0 { 0 } else { self.min }
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
     }
 
     /// Largest observation (0 when empty).

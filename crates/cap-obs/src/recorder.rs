@@ -106,7 +106,11 @@ impl Obs {
 
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.enabled() { "Obs(on)" } else { "Obs(off)" })
+        f.write_str(if self.enabled() {
+            "Obs(on)"
+        } else {
+            "Obs(off)"
+        })
     }
 }
 

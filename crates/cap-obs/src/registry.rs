@@ -65,7 +65,9 @@ impl Registry {
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // A poisoned registry still holds structurally valid metrics —
         // telemetry must never take the process down with it.
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// An [`Obs`] handle backed by this registry.
@@ -229,7 +231,12 @@ mod tests {
         r.counter_add("zeta", 1);
         r.counter_add("alpha", 1);
         r.counter_add("mid", 1);
-        let names: Vec<_> = r.snapshot().counters.iter().map(|(n, _)| n.clone()).collect();
+        let names: Vec<_> = r
+            .snapshot()
+            .counters
+            .iter()
+            .map(|(n, _)| n.clone())
+            .collect();
         assert_eq!(names, ["alpha", "mid", "zeta"]);
     }
 

@@ -68,7 +68,10 @@ impl fmt::Display for ObsDecodeError {
             Self::Truncated { what } => write!(f, "stats snapshot truncated reading {what}"),
             Self::BadMagic => write!(f, "stats snapshot has wrong magic"),
             Self::VersionSkew { found } => {
-                write!(f, "stats snapshot version {found}, decoder speaks {VERSION}")
+                write!(
+                    f,
+                    "stats snapshot version {found}, decoder speaks {VERSION}"
+                )
             }
             Self::BadValue { what } => write!(f, "stats snapshot bad value: {what}"),
         }
@@ -224,7 +227,8 @@ impl StatsSnapshot {
             let min = c.take_u64("histogram min")?;
             let max = c.take_u64("histogram max")?;
             let buckets_len = c.take_u16("histogram bucket table")?;
-            let mut buckets = Vec::with_capacity(usize::from(buckets_len).min(crate::histogram::BUCKETS));
+            let mut buckets =
+                Vec::with_capacity(usize::from(buckets_len).min(crate::histogram::BUCKETS));
             for _ in 0..buckets_len {
                 let bucket = c.take_u8("bucket index")?;
                 let count = c.take_u64("bucket count")?;
@@ -330,10 +334,7 @@ impl StatsSnapshot {
     /// Value of a gauge, if present.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// A histogram, if present.
@@ -491,7 +492,11 @@ mod tests {
         assert_eq!(lat.min, 40);
         assert_eq!(lat.max, 460);
         assert_eq!(a.histogram("other").unwrap().count, 1);
-        assert_eq!(a.events.first().map(|e| e.seq), Some(2), "events sort by seq");
+        assert_eq!(
+            a.events.first().map(|e| e.seq),
+            Some(2),
+            "events sort by seq"
+        );
         assert_eq!(a.dropped_events, 5);
         // Name tables stay sorted, so the merged snapshot re-encodes
         // and decodes canonically.
@@ -597,8 +602,18 @@ mod tests {
     #[test]
     fn render_top_mentions_every_section() {
         let text = sample().render_top(16);
-        for needle in ["counters", "gauges", "histograms", "events", "a.hits", "breaker.open"] {
-            assert!(text.contains(needle), "render_top missing {needle}:\n{text}");
+        for needle in [
+            "counters",
+            "gauges",
+            "histograms",
+            "events",
+            "a.hits",
+            "breaker.open",
+        ] {
+            assert!(
+                text.contains(needle),
+                "render_top missing {needle}:\n{text}"
+            );
         }
     }
 

@@ -24,7 +24,7 @@
 use crate::confidence::{CfiMode, SaturatingCounter};
 use crate::history::HistorySpec;
 use crate::link_table::{LinkTable, LinkTableConfig, LtWrite};
-use crate::load_buffer::{LbEntry, LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{LbEntry, LbEntryProto, LoadBuffer, LoadBufferConfig};
 use crate::metrics::names;
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 use cap_obs::Obs;
@@ -170,8 +170,7 @@ impl CapComponent {
         self.obs.incr(names::CAP_LT_HIT);
         let addr = link.wrapping_add(u64::from(entry.offset_lsb));
         let confident = !self.params.confidence_enabled
-            || (entry.cap_conf.is_confident()
-                && entry.cap_cfi.allows(self.params.cfi, ctx.ghr));
+            || (entry.cap_conf.is_confident() && entry.cap_cfi.allows(self.params.cfi, ctx.ghr));
         if self.params.speculative_history {
             entry.spec_history.push(link, spec);
         }
@@ -428,8 +427,14 @@ impl AddressPredictor for CapPredictor {
         if fresh {
             self.component.obs.incr(names::LB_ALLOC);
         }
-        self.component
-            .update(entry, ctx, actual, pred.detail.cap_addr, pred.speculate, true);
+        self.component.update(
+            entry,
+            ctx,
+            actual,
+            pred.detail.cap_addr,
+            pred.speculate,
+            true,
+        );
     }
 
     fn name(&self) -> &'static str {
@@ -792,7 +797,11 @@ mod tests {
         // The trace ended after a full pattern: the next 5 instances are
         // one whole period.
         let ahead = p.predict_ahead(0x40, 5);
-        assert_eq!(ahead, pattern.to_vec(), "chained lookups must walk the cycle");
+        assert_eq!(
+            ahead,
+            pattern.to_vec(),
+            "chained lookups must walk the cycle"
+        );
         // Asking for more wraps around the cycle.
         let ahead10 = p.predict_ahead(0x40, 10);
         assert_eq!(&ahead10[5..], &pattern[..5]);
@@ -840,7 +849,10 @@ mod tests {
     #[test]
     fn lb_miss_gives_no_prediction() {
         let mut p = CapPredictor::new(config());
-        assert_eq!(p.predict(&LoadContext::new(0xDEAD, 0, 0)), Prediction::none());
+        assert_eq!(
+            p.predict(&LoadContext::new(0xDEAD, 0, 0)),
+            Prediction::none()
+        );
     }
 
     #[test]

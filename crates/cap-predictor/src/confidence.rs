@@ -289,7 +289,9 @@ impl Restorable for CfiMode {
             1 => {
                 let bits = r.take_u32("cfi bits")?;
                 if bits == 0 || bits > 63 {
-                    return Err(r.bad_value(format!("last-misprediction bits {bits} outside 1..=63")));
+                    return Err(
+                        r.bad_value(format!("last-misprediction bits {bits} outside 1..=63"))
+                    );
                 }
                 Ok(CfiMode::LastMisprediction { bits })
             }

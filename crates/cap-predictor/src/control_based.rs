@@ -89,8 +89,7 @@ impl ControlBasedPredictor {
         let tag = if self.config.tag_bits == 0 {
             0
         } else {
-            (mixed >> self.config.entries.trailing_zeros())
-                & ((1u64 << self.config.tag_bits) - 1)
+            (mixed >> self.config.entries.trailing_zeros()) & ((1u64 << self.config.tag_bits) - 1)
         };
         (index, tag)
     }
@@ -143,7 +142,13 @@ impl AddressPredictor for ControlBasedPredictor {
 mod tests {
     use super::*;
 
-    fn step(p: &mut ControlBasedPredictor, ip: u64, ghr: u64, path: u64, actual: u64) -> Prediction {
+    fn step(
+        p: &mut ControlBasedPredictor,
+        ip: u64,
+        ghr: u64,
+        path: u64,
+        actual: u64,
+    ) -> Prediction {
         let ctx = LoadContext {
             path,
             ..LoadContext::new(ip, 0, ghr)

@@ -19,7 +19,7 @@
 use crate::confidence::SaturatingCounter;
 use crate::history::HistorySpec;
 use crate::link_table::{LinkTable, LinkTableConfig};
-use crate::load_buffer::{LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{LbEntryProto, LoadBuffer, LoadBufferConfig};
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 
 /// Configuration of a [`DeltaCapPredictor`].
@@ -208,7 +208,10 @@ mod tests {
             }
             addr += deltas[i % deltas.len()];
         }
-        assert!(correct_tail >= 45, "delta rhythm must be learned: {correct_tail}/50");
+        assert!(
+            correct_tail >= 45,
+            "delta rhythm must be learned: {correct_tail}/50"
+        );
     }
 
     #[test]

@@ -555,4 +555,3 @@ mod tests {
         assert_ne!(c.path, after_call);
     }
 }
-

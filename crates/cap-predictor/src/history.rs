@@ -352,7 +352,11 @@ mod tests {
         h1.push(0x200, &s);
         h2.push(0x200, &s);
         h2.push(0x100, &s);
-        assert_ne!(h1.fold(&s), h2.fold(&s), "shift-xor must be order-sensitive");
+        assert_ne!(
+            h1.fold(&s),
+            h2.fold(&s),
+            "shift-xor must be order-sensitive"
+        );
     }
 
     #[test]

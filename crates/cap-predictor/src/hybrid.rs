@@ -14,7 +14,7 @@
 
 use crate::cap::{CapComponent, CapParams};
 use crate::link_table::LinkTableConfig;
-use crate::load_buffer::{LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{LbEntryProto, LoadBuffer, LoadBufferConfig};
 use crate::metrics::names;
 use crate::stride::{StrideComponent, StrideParams};
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
@@ -503,4 +503,3 @@ mod tests {
         assert_eq!(p.predict(&LoadContext::new(0x40, 0, 0)), Prediction::none());
     }
 }
-

@@ -6,7 +6,7 @@
 //! stack slots); the `text-coverage` experiment reproduces that headline.
 
 use crate::confidence::SaturatingCounter;
-use crate::load_buffer::{LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{LbEntryProto, LoadBuffer, LoadBufferConfig};
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 
 /// A last-address predictor built on the shared Load Buffer.

@@ -76,6 +76,6 @@ pub mod prelude {
     pub use crate::metrics::PredictorStats;
     pub use crate::profile::{LoadClass, LoadClassMap, ProfileGuidedPredictor, Profiler};
     pub use crate::stride::{StrideParams, StridePredictor};
-    pub use crate::variable::{VariableHistoryCap, VariableHistoryConfig};
     pub use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction};
+    pub use crate::variable::{VariableHistoryCap, VariableHistoryConfig};
 }

@@ -75,10 +75,14 @@ impl LinkTableConfig {
     }
 
     fn validate(&self) {
-        assert!(self.entries.is_power_of_two(), "LT entries must be a power of two");
+        assert!(
+            self.entries.is_power_of_two(),
+            "LT entries must be a power of two"
+        );
         assert!(self.assoc >= 1, "associativity must be at least 1");
         assert!(
-            self.entries.is_multiple_of(self.assoc) && (self.entries / self.assoc).is_power_of_two(),
+            self.entries.is_multiple_of(self.assoc)
+                && (self.entries / self.assoc).is_power_of_two(),
             "LT sets must be a power of two"
         );
     }
@@ -295,7 +299,11 @@ impl LinkTable {
             .enumerate()
             .fold((0usize, u64::MAX), |best, (i, e)| {
                 let lru = e.as_ref().map_or(0, |e| e.lru);
-                if lru < best.1 { (i, lru) } else { best }
+                if lru < best.1 {
+                    (i, lru)
+                } else {
+                    best
+                }
             })
             .0
     }
@@ -349,7 +357,9 @@ impl Restorable for PfMode {
             2 => {
                 let extra_index_bits = r.take_u32("pf extra index bits")?;
                 if extra_index_bits > 16 {
-                    return Err(r.bad_value(format!("pf extra index bits {extra_index_bits} above 16")));
+                    return Err(
+                        r.bad_value(format!("pf extra index bits {extra_index_bits} above 16"))
+                    );
                 }
                 Ok(PfMode::Decoupled { extra_index_bits })
             }
@@ -376,8 +386,14 @@ impl Restorable for LinkTableConfig {
         if !entries.is_power_of_two() || entries > 1 << 24 {
             return Err(r.bad_value(format!("lt entries {entries} not a power of two <= 2^24")));
         }
-        if assoc == 0 || assoc > entries || entries % assoc != 0 || !(entries / assoc).is_power_of_two() {
-            return Err(r.bad_value(format!("lt associativity {assoc} incompatible with {entries} entries")));
+        if assoc == 0
+            || assoc > entries
+            || entries % assoc != 0
+            || !(entries / assoc).is_power_of_two()
+        {
+            return Err(r.bad_value(format!(
+                "lt associativity {assoc} incompatible with {entries} entries"
+            )));
         }
         let config = Self {
             entries: entries as usize,
@@ -514,7 +530,11 @@ mod tests {
         assert_eq!(lt.lookup(&folded(1, 0)), Some(0xA0));
         // One attempt to change the link to B: PF bits differ, rejected.
         assert!(!lt.update(&folded(1, 0), 0xB4));
-        assert_eq!(lt.lookup(&folded(1, 0)), Some(0xA0), "first change deferred");
+        assert_eq!(
+            lt.lookup(&folded(1, 0)),
+            Some(0xA0),
+            "first change deferred"
+        );
         // Second consecutive identical attempt: admitted.
         assert!(lt.update(&folded(1, 0), 0xB4));
         assert_eq!(lt.lookup(&folded(1, 0)), Some(0xB4));

@@ -164,10 +164,14 @@ impl LoadBufferConfig {
     }
 
     fn validate(&self) {
-        assert!(self.entries.is_power_of_two(), "LB entries must be a power of two");
+        assert!(
+            self.entries.is_power_of_two(),
+            "LB entries must be a power of two"
+        );
         assert!(self.assoc >= 1, "associativity must be at least 1");
         assert!(
-            self.entries.is_multiple_of(self.assoc) && (self.entries / self.assoc).is_power_of_two(),
+            self.entries.is_multiple_of(self.assoc)
+                && (self.entries / self.assoc).is_power_of_two(),
             "LB sets must be a power of two"
         );
     }
@@ -264,7 +268,11 @@ impl LoadBuffer {
                         .enumerate()
                         .fold((0usize, u64::MAX), |best, (i, e)| {
                             let lru = e.as_ref().map_or(0, |e| e.lru);
-                            if lru < best.1 { (i, lru) } else { best }
+                            if lru < best.1 {
+                                (i, lru)
+                            } else {
+                                best
+                            }
                         })
                         .0
                 });
@@ -376,7 +384,10 @@ impl Restorable for LbEntry {
             lru: r.take_u64("lb lru")?,
         };
         if entry.selector > 3 {
-            return Err(r.bad_value(format!("lb selector {} above 3 (2-bit counter)", entry.selector)));
+            return Err(r.bad_value(format!(
+                "lb selector {} above 3 (2-bit counter)",
+                entry.selector
+            )));
         }
         Ok(entry)
     }
@@ -398,8 +409,14 @@ impl Restorable for LoadBufferConfig {
         if !entries.is_power_of_two() || entries > 1 << 24 {
             return Err(r.bad_value(format!("lb entries {entries} not a power of two <= 2^24")));
         }
-        if assoc == 0 || assoc > entries || entries % assoc != 0 || !(entries / assoc).is_power_of_two() {
-            return Err(r.bad_value(format!("lb associativity {assoc} incompatible with {entries} entries")));
+        if assoc == 0
+            || assoc > entries
+            || entries % assoc != 0
+            || !(entries / assoc).is_power_of_two()
+        {
+            return Err(r.bad_value(format!(
+                "lb associativity {assoc} incompatible with {entries} entries"
+            )));
         }
         Ok(Self {
             entries: entries as usize,

@@ -15,7 +15,7 @@
 
 use crate::cap::{CapComponent, CapParams};
 use crate::link_table::LinkTableConfig;
-use crate::load_buffer::{LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{LbEntryProto, LoadBuffer, LoadBufferConfig};
 use crate::stride::{StrideComponent, StrideParams};
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 use cap_trace::{Trace, TraceEvent};
@@ -275,8 +275,14 @@ impl AddressPredictor for ProfileGuidedPredictor {
                     .update(entry, ctx, actual, pred.detail.stride_addr, pred.speculate);
             }
             LoadClass::Context => {
-                self.cap
-                    .update(entry, ctx, actual, pred.detail.cap_addr, pred.speculate, true);
+                self.cap.update(
+                    entry,
+                    ctx,
+                    actual,
+                    pred.detail.cap_addr,
+                    pred.speculate,
+                    true,
+                );
             }
             LoadClass::Unknown => unreachable!("handled above"),
         }
@@ -397,4 +403,3 @@ mod tests {
         assert_eq!(p.lb_occupancy(), 0, "unknown loads allocate nothing");
     }
 }
-

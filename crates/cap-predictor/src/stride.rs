@@ -13,7 +13,7 @@
 //!   the predictor (§5.2).
 
 use crate::confidence::{CfiMode, SaturatingCounter};
-use crate::load_buffer::{LbEntry, LoadBuffer, LoadBufferConfig, LbEntryProto, StrideState};
+use crate::load_buffer::{LbEntry, LbEntryProto, LoadBuffer, LoadBufferConfig, StrideState};
 use crate::metrics::names;
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 use cap_obs::Obs;
@@ -288,13 +288,8 @@ impl AddressPredictor for StridePredictor {
         if fresh {
             self.component.obs.incr(names::LB_ALLOC);
         }
-        self.component.update(
-            entry,
-            ctx,
-            actual,
-            pred.detail.stride_addr,
-            pred.speculate,
-        );
+        self.component
+            .update(entry, ctx, actual, pred.detail.stride_addr, pred.speculate);
     }
 
     fn name(&self) -> &'static str {
@@ -528,7 +523,10 @@ mod tests {
             with < without,
             "CFI must reduce wrong speculative accesses: {with} vs {without}"
         );
-        assert!(without > 0, "the workload must actually provoke mispredictions");
+        assert!(
+            without > 0,
+            "the workload must actually provoke mispredictions"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::confidence::SaturatingCounter;
 use crate::history::HistorySpec;
 use crate::link_table::{LinkTable, LinkTableConfig};
-use crate::load_buffer::{LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{LbEntryProto, LoadBuffer, LoadBufferConfig};
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 
 /// Configuration of a [`VariableHistoryCap`].
@@ -132,7 +132,6 @@ impl VariableHistoryCap {
             config,
         }
     }
-
 }
 
 impl AddressPredictor for VariableHistoryCap {

@@ -33,7 +33,10 @@ fn saturated_counter_with_hysteresis_drops_within_two_mispredictions() {
         "hysteresis: first misprediction falls to the threshold, still confident"
     );
     c.on_incorrect();
-    assert!(!c.is_confident(), "second misprediction must clear confidence");
+    assert!(
+        !c.is_confident(),
+        "second misprediction must clear confidence"
+    );
 }
 
 #[test]

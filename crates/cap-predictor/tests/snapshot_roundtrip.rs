@@ -81,7 +81,9 @@ where
             let bytes = b.finish();
 
             let archive = SnapshotArchive::parse(&bytes).expect("own snapshot parses");
-            *p = archive.restore::<P>("predictor").expect("predictor restores");
+            *p = archive
+                .restore::<P>("predictor")
+                .expect("predictor restores");
             *control = archive.restore("control").expect("control restores");
             *stats = archive.restore("stats").expect("stats restore");
         });

@@ -102,7 +102,9 @@ pub fn vec_of<T>(
 /// Panics if `options` is empty.
 pub fn one_of<T: Copy>(rng: &mut StdRng, options: &[T]) -> T {
     use crate::seq::SliceRandom;
-    *options.choose(rng).expect("one_of requires a non-empty option list")
+    *options
+        .choose(rng)
+        .expect("one_of requires a non-empty option list")
 }
 
 /// Case-seed derivation: decorrelates (property, case) pairs by running

@@ -510,7 +510,10 @@ mod tests {
         for _ in 0..1000 {
             edge[rng.gen_range(0usize..=2)] = true;
         }
-        assert!(edge.iter().all(|&s| s), "inclusive upper bound must be reachable");
+        assert!(
+            edge.iter().all(|&s| s),
+            "inclusive upper bound must be reachable"
+        );
     }
 
     #[test]
@@ -567,7 +570,10 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-        assert_ne!(v, sorted, "a 100-element shuffle is astronomically unlikely to be identity");
+        assert_ne!(
+            v, sorted,
+            "a 100-element shuffle is astronomically unlikely to be identity"
+        );
     }
 
     #[test]

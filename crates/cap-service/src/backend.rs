@@ -183,7 +183,9 @@ impl BackendKind {
             .iter()
             .find(|d| d.name.eq_ignore_ascii_case(s))
             .map(|d| d.kind)
-            .ok_or_else(|| BackendParseError { input: s.to_owned() })
+            .ok_or_else(|| BackendParseError {
+                input: s.to_owned(),
+            })
     }
 
     /// Snapshot tag.
@@ -195,7 +197,10 @@ impl BackendKind {
     /// Inverse of [`BackendKind::tag`].
     #[must_use]
     pub fn from_tag(tag: u8) -> Option<Self> {
-        BACKEND_REGISTRY.iter().find(|d| d.tag == tag).map(|d| d.kind)
+        BACKEND_REGISTRY
+            .iter()
+            .find(|d| d.tag == tag)
+            .map(|d| d.kind)
     }
 
     /// A fresh paper-default backend of this kind.
@@ -299,7 +304,12 @@ mod tests {
 
             // Original and restored must predict identically from here.
             let ctx = LoadContext::new(0x500, 0, 0);
-            assert_eq!(original.predict(&ctx), restored.predict(&ctx), "{}", kind.name());
+            assert_eq!(
+                original.predict(&ctx),
+                restored.predict(&ctx),
+                "{}",
+                kind.name()
+            );
         }
     }
 }

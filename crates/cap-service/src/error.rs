@@ -125,7 +125,10 @@ impl fmt::Display for ServiceError {
                 write!(f, "request shed: shard queue full (capacity {capacity})")
             }
             ServiceError::DeadlineExceeded { stage, budget } => {
-                write!(f, "deadline exceeded in stage '{stage}' (budget {budget:?})")
+                write!(
+                    f,
+                    "deadline exceeded in stage '{stage}' (budget {budget:?})"
+                )
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::BackendPanicked { component } => {
@@ -137,7 +140,10 @@ impl fmt::Display for ServiceError {
             ServiceError::BadSnapshot(why) => write!(f, "bad service snapshot: {why}"),
             ServiceError::Protocol(why) => write!(f, "protocol error: {why}"),
             ServiceError::Fenced { fence, sent } => {
-                write!(f, "stale routing epoch {sent}: node is fenced at epoch {fence}")
+                write!(
+                    f,
+                    "stale routing epoch {sent}: node is fenced at epoch {fence}"
+                )
             }
         }
     }
@@ -197,19 +203,34 @@ mod tests {
 
     #[test]
     fn error_classes_span_the_taxonomy() {
-        assert_eq!(ServiceError::Shed { capacity: 1 }.error_class(), ErrorClass::Shed);
         assert_eq!(
-            ServiceError::ReplyTimeout { waited: Duration::from_secs(1) }.error_class(),
+            ServiceError::Shed { capacity: 1 }.error_class(),
+            ErrorClass::Shed
+        );
+        assert_eq!(
+            ServiceError::ReplyTimeout {
+                waited: Duration::from_secs(1)
+            }
+            .error_class(),
             ErrorClass::Transient
         );
-        assert_eq!(ServiceError::ShuttingDown.error_class(), ErrorClass::Permanent);
-        assert_eq!(ServiceError::BadSnapshot("x".into()).error_class(), ErrorClass::Corrupt);
+        assert_eq!(
+            ServiceError::ShuttingDown.error_class(),
+            ErrorClass::Permanent
+        );
+        assert_eq!(
+            ServiceError::BadSnapshot("x".into()).error_class(),
+            ErrorClass::Corrupt
+        );
         // The legacy predicate and the class-derived one agree on every
         // variant.
         for e in every_variant() {
             assert_eq!(e.is_retryable(), e.error_class().is_retryable(), "{e}");
         }
-        assert_eq!(ServiceError::Fenced { fence: 2, sent: 1 }.code(), ServiceError::FENCED_CODE);
+        assert_eq!(
+            ServiceError::Fenced { fence: 2, sent: 1 }.code(),
+            ServiceError::FENCED_CODE
+        );
     }
 
     #[test]
@@ -219,6 +240,8 @@ mod tests {
             budget: Duration::from_millis(5),
         };
         assert!(e.to_string().contains("backend"));
-        assert!(ServiceError::Shed { capacity: 64 }.to_string().contains("64"));
+        assert!(ServiceError::Shed { capacity: 64 }
+            .to_string()
+            .contains("64"));
     }
 }

@@ -24,8 +24,8 @@ use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::error::ServiceError;
 use crate::ladder::{Ladder, LadderConfig, LadderInputs, Rung};
 use crate::names;
-use cap_obs::Obs;
 use cap_faults::service::{ServiceFault, ServiceFaultConfig, ServiceFaultPlan};
+use cap_obs::Obs;
 use cap_predictor::metrics::PredictorStats;
 use cap_predictor::types::{LoadContext, Prediction};
 use cap_snapshot::{
@@ -651,8 +651,7 @@ impl Worker {
                 }
             }
             Rung::Hybrid => {
-                let primary =
-                    Self::guarded_call(&mut self.slots[0], &ctx, actual, fault, now);
+                let primary = Self::guarded_call(&mut self.slots[0], &ctx, actual, fault, now);
                 // Shadow-train the fallback (never fault-injected: the
                 // injected fault was spent on the active call).
                 if actual.is_some() {
@@ -693,8 +692,10 @@ impl Worker {
         self.counters.served_by_rung[rung.index()] += 1;
         self.obs.incr(names::SERVED);
         if self.obs.enabled() {
-            self.obs
-                .record(names::LATENCY_BY_RUNG[rung.index()], now.elapsed().as_micros() as u64);
+            self.obs.record(
+                names::LATENCY_BY_RUNG[rung.index()],
+                now.elapsed().as_micros() as u64,
+            );
         }
 
         Ok(match request {
@@ -955,7 +956,9 @@ fn decode_service_snapshot(
     let archive = SnapshotArchive::parse(bytes).map_err(|e| bad(&e))?;
     let meta_bytes = archive.section(SEC_SERVICE).map_err(|e| bad(&e))?;
     let mut meta = SectionReader::new(meta_bytes, SEC_SERVICE);
-    let version = meta.take_u32("service snapshot version").map_err(|e| bad(&e))?;
+    let version = meta
+        .take_u32("service snapshot version")
+        .map_err(|e| bad(&e))?;
     if version != SERVICE_SNAPSHOT_VERSION {
         return Err(ServiceError::BadSnapshot(format!(
             "service snapshot version {version}, supported {SERVICE_SNAPSHOT_VERSION}"
@@ -1094,7 +1097,11 @@ mod tests {
             }
         }
         let stats = handle.stats().unwrap();
-        assert_eq!(stats.merged_predictor().loads, 0, "predict-only never records a load");
+        assert_eq!(
+            stats.merged_predictor().loads,
+            0,
+            "predict-only never records a load"
+        );
         let _ = service.shutdown(Duration::from_millis(100));
     }
 
@@ -1193,7 +1200,9 @@ mod tests {
         let service = Service::start(config.clone());
         let handle = service.handle();
         for i in 0..300u64 {
-            handle.call(observe(0x400 + (i % 4) * 0x40, 0x2000 + i * 16), None).unwrap();
+            handle
+                .call(observe(0x400 + (i % 4) * 0x40, 0x2000 + i * 16), None)
+                .unwrap();
         }
         let before = handle.stats().unwrap().merged_predictor();
         let report = service.shutdown(Duration::from_secs(1));
@@ -1423,8 +1432,14 @@ mod tests {
             answered += a;
             with_addr += w;
         }
-        assert_eq!(answered, 800, "every accepted predict gets exactly one reply");
-        assert_eq!(with_addr, 800, "a trained stride predicts on every rung pass");
+        assert_eq!(
+            answered, 800,
+            "every accepted predict gets exactly one reply"
+        );
+        assert_eq!(
+            with_addr, 800,
+            "a trained stride predicts on every rung pass"
+        );
 
         let stats = handle.stats().unwrap();
         assert_eq!(stats.workers[0].served, 900, "100 observes + 800 predicts");

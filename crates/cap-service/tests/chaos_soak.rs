@@ -147,9 +147,21 @@ fn soak_under_chaos_never_drops_and_recovers_to_the_top_rung() {
     // Claim 2: nothing dropped — one reply per request, and the server
     // agrees about what it admitted and shed.
     assert_eq!(tally.total(), TOTAL, "every request got exactly one reply");
-    assert_eq!(tally.reply_timeout.load(Ordering::Relaxed), 0, "no wedged worker");
-    assert_eq!(tally.other.load(Ordering::Relaxed), 0, "no unexpected error kinds");
-    assert_eq!(tally.shutting_down.load(Ordering::Relaxed), 0, "nobody saw shutdown");
+    assert_eq!(
+        tally.reply_timeout.load(Ordering::Relaxed),
+        0,
+        "no wedged worker"
+    );
+    assert_eq!(
+        tally.other.load(Ordering::Relaxed),
+        0,
+        "no unexpected error kinds"
+    );
+    assert_eq!(
+        tally.shutting_down.load(Ordering::Relaxed),
+        0,
+        "nobody saw shutdown"
+    );
 
     let stats = handle.stats().expect("stats after soak");
     assert_eq!(
@@ -157,7 +169,11 @@ fn soak_under_chaos_never_drops_and_recovers_to_the_top_rung() {
         TOTAL + stats.workers.len() as u64, // the stats call itself probes each shard
         "admission accounting covers every submission"
     );
-    assert_eq!(stats.shed, tally.shed.load(Ordering::Relaxed), "shed counts agree");
+    assert_eq!(
+        stats.shed,
+        tally.shed.load(Ordering::Relaxed),
+        "shed counts agree"
+    );
 
     // The chaos was real: panics were contained and charged, breakers
     // tripped, the ladder demoted.
@@ -170,7 +186,10 @@ fn soak_under_chaos_never_drops_and_recovers_to_the_top_rung() {
     let demotions: u64 = stats.workers.iter().map(|w| w.demotions).sum();
     assert!(panics > 100, "expected heavy injected panics, saw {panics}");
     assert!(trips > 0, "breakers never tripped — chaos too gentle");
-    assert!(demotions > 0, "ladder never demoted — soak exercised nothing");
+    assert!(
+        demotions > 0,
+        "ladder never demoted — soak exercised nothing"
+    );
     assert!(
         tally.panicked.load(Ordering::Relaxed) > 0,
         "panic containment surfaced as structured errors"

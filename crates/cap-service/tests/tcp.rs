@@ -18,12 +18,8 @@ fn spawn_server() -> (
         queue_capacity: 32,
         ..ServiceConfig::default()
     });
-    let server = TcpServer::bind(
-        ("127.0.0.1", 0),
-        service.handle(),
-        debug_stats_renderer(),
-    )
-    .expect("bind on loopback");
+    let server = TcpServer::bind(("127.0.0.1", 0), service.handle(), debug_stats_renderer())
+        .expect("bind on loopback");
     let addr = server.local_addr().expect("resolved addr");
     let join = std::thread::spawn(move || {
         let drain = server.run().expect("accept loop");
@@ -87,7 +83,10 @@ fn tcp_clients_observe_predict_stat_and_shut_down() {
 
     // Graceful shutdown over the wire: ack, then the server drains and
     // snapshots.
-    match client.shutdown(Duration::from_millis(300)).expect("shutdown") {
+    match client
+        .shutdown(Duration::from_millis(300))
+        .expect("shutdown")
+    {
         WireResponse::ShutdownAck => {}
         resp => panic!("unexpected response {resp:?}"),
     }
@@ -98,7 +97,10 @@ fn tcp_clients_observe_predict_stat_and_shut_down() {
         .iter()
         .map(|w| w.predictor.loads)
         .sum::<u64>();
-    assert_eq!(stats_loads, 300, "every observed load landed in the final state");
+    assert_eq!(
+        stats_loads, 300,
+        "every observed load landed in the final state"
+    );
 }
 
 #[test]
@@ -160,7 +162,10 @@ fn server_without_exporter_answers_with_an_empty_snapshot() {
     let (addr, join) = spawn_server();
     let mut client = TcpClient::connect(addr).expect("connect");
     let snap = client.obs_stats().expect("obs stats probe");
-    assert!(snap.is_empty(), "no exporter → empty snapshot, not an error");
+    assert!(
+        snap.is_empty(),
+        "no exporter → empty snapshot, not an error"
+    );
     let _ = client.shutdown(Duration::from_millis(100));
     let _ = join.join();
 }

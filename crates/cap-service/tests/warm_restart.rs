@@ -25,11 +25,11 @@ fn event(i: u64) -> Request {
     let lane = i % 5;
     let ip = 0x400 + lane * 0x40;
     let actual = match lane {
-        0 => 0x1_0000 + i * 8,                      // unit stride
-        1 => 0x2_0000 + i * 24,                     // wide stride
-        2 => 0x3_0000 + (i % 7) * 0x100,            // short period
+        0 => 0x1_0000 + i * 8,                          // unit stride
+        1 => 0x2_0000 + i * 24,                         // wide stride
+        2 => 0x3_0000 + (i % 7) * 0x100,                // short period
         3 => 0x4_0000 + i.wrapping_mul(0x9E37) % 0x800, // scrambled
-        _ => 0x5_0000 + (i / 5) * 16,               // per-lane stride
+        _ => 0x5_0000 + (i / 5) * 16,                   // per-lane stride
     };
     Request::Observe {
         ip,
@@ -61,8 +61,7 @@ fn restored_service_is_bit_identical_to_an_uninterrupted_one() {
     let report = first.shutdown(Duration::from_secs(1));
     assert_eq!(report.drain_rejected, 0, "nothing was in flight at drain");
 
-    let second =
-        Service::start_restored(config(), &report.snapshot).expect("snapshot restores");
+    let second = Service::start_restored(config(), &report.snapshot).expect("snapshot restores");
     drive(&second.handle(), SPLIT..TRACE_LEN);
     let restored = second.handle().stats().expect("restored stats");
 
@@ -79,8 +78,7 @@ fn restored_service_is_bit_identical_to_an_uninterrupted_one() {
 
     // And the restored service keeps learning: a second restart chains.
     let report2 = second.shutdown(Duration::from_secs(1));
-    let third =
-        Service::start_restored(config(), &report2.snapshot).expect("snapshot chains");
+    let third = Service::start_restored(config(), &report2.snapshot).expect("snapshot chains");
     let after = third.handle().stats().expect("chained stats");
     assert_eq!(after.merged_predictor(), restored.merged_predictor());
     let _ = third.shutdown(Duration::from_millis(200));
@@ -107,7 +105,10 @@ fn every_corrupt_snapshot_degrades_to_cold_start() {
         let (service, used_snapshot) = Service::restore_or_cold(config(), Some(&bytes));
         assert!(!used_snapshot, "corrupt snapshot must not be trusted");
         // Cold but alive: it serves and reports zeroed metrics.
-        service.handle().call(event(0), None).expect("cold service serves");
+        service
+            .handle()
+            .call(event(0), None)
+            .expect("cold service serves");
         let stats = service.handle().stats().expect("cold stats");
         assert_eq!(stats.merged_predictor().loads, 1);
         let _ = service.shutdown(Duration::from_millis(200));
@@ -116,6 +117,13 @@ fn every_corrupt_snapshot_degrades_to_cold_start() {
     // The pristine snapshot, by contrast, is used.
     let (warm, used_snapshot) = Service::restore_or_cold(config(), Some(&good));
     assert!(used_snapshot);
-    assert_eq!(warm.handle().stats().expect("warm stats").merged_predictor().loads, 64);
+    assert_eq!(
+        warm.handle()
+            .stats()
+            .expect("warm stats")
+            .merged_predictor()
+            .loads,
+        64
+    );
     let _ = warm.shutdown(Duration::from_millis(200));
 }

@@ -240,7 +240,10 @@ mod tests {
     #[test]
     fn roundtrip() {
         let archive = SnapshotArchive::parse(&sample()).unwrap();
-        assert_eq!(archive.section_names().collect::<Vec<_>>(), ["alpha", "beta"]);
+        assert_eq!(
+            archive.section_names().collect::<Vec<_>>(),
+            ["alpha", "beta"]
+        );
         assert_eq!(archive.section("alpha").unwrap(), &[1, 2, 3, 4]);
         assert_eq!(archive.section("beta").unwrap().len(), 256);
     }

@@ -190,8 +190,7 @@ impl JournalReplay {
             if len > MAX_RECORD_LEN {
                 break Some(TornReason::OversizedLength);
             }
-            let stored_crc =
-                u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
+            let stored_crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
             let payload_start = at + JOURNAL_RECORD_OVERHEAD;
             let payload_end = payload_start + len as usize;
             if payload_end > bytes.len() {
@@ -235,7 +234,10 @@ mod tests {
         let bytes = journal(5_000, &[b"alpha", b"", b"gamma gamma"]);
         let replay = JournalReplay::parse(&bytes).unwrap();
         assert_eq!(replay.base_events, 5_000);
-        assert_eq!(replay.records, vec![b"alpha".to_vec(), Vec::new(), b"gamma gamma".to_vec()]);
+        assert_eq!(
+            replay.records,
+            vec![b"alpha".to_vec(), Vec::new(), b"gamma gamma".to_vec()]
+        );
         assert_eq!(replay.valid_len, bytes.len());
         assert!(replay.torn.is_none());
     }
@@ -261,7 +263,10 @@ mod tests {
             let replay = JournalReplay::parse(&bytes[..cut]).unwrap();
             assert_eq!(replay.base_events, 42);
             // How many whole records fit before the cut?
-            let expect = boundaries.iter().filter(|&&b| b > JOURNAL_HEADER_LEN && b <= cut).count();
+            let expect = boundaries
+                .iter()
+                .filter(|&&b| b > JOURNAL_HEADER_LEN && b <= cut)
+                .count();
             assert_eq!(replay.records.len(), expect, "cut at {cut}");
             for (i, r) in replay.records.iter().enumerate() {
                 assert_eq!(r.as_slice(), payloads[i]);

@@ -101,6 +101,9 @@ mod tests {
         let _ = rng.gen_range(0..100u32);
         let _ = rng.gen_bool(0.3);
         let mut restored = StdRng::from_payload(&rng.to_payload(), "rng").unwrap();
-        assert_eq!(restored.gen_range(0..1_000_000u64), rng.gen_range(0..1_000_000u64));
+        assert_eq!(
+            restored.gen_range(0..1_000_000u64),
+            rng.gen_range(0..1_000_000u64)
+        );
     }
 }

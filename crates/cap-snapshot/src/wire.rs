@@ -109,7 +109,11 @@ impl<'a> SectionReader<'a> {
     /// A reader over `buf`, attributing errors to `section`.
     #[must_use]
     pub fn new(buf: &'a [u8], section: &'a str) -> Self {
-        Self { buf, pos: 0, section }
+        Self {
+            buf,
+            pos: 0,
+            section,
+        }
     }
 
     /// The section this reader attributes errors to.
@@ -372,7 +376,10 @@ mod tests {
             }
         }
         let err = One::from_payload(&[1, 2], "one").unwrap_err();
-        assert!(matches!(err, SnapshotError::TrailingBytes { remaining: 1, .. }));
+        assert!(matches!(
+            err,
+            SnapshotError::TrailingBytes { remaining: 1, .. }
+        ));
         assert_eq!(One::from_payload(&[3], "one").unwrap().0, 3);
     }
 }

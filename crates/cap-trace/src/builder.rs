@@ -153,7 +153,11 @@ impl TraceBuilder {
 
     /// Emits a conditional branch.
     pub fn cond_branch(&mut self, ip: u64, taken: bool) {
-        self.branch(ip, taken, if taken { ip.wrapping_sub(0x20) } else { ip + 4 });
+        self.branch(
+            ip,
+            taken,
+            if taken { ip.wrapping_sub(0x20) } else { ip + 4 },
+        );
     }
 
     /// Emits a conditional branch with an explicit target.
@@ -289,7 +293,11 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            vec![BranchKind::Call, BranchKind::Return, BranchKind::Conditional]
+            vec![
+                BranchKind::Call,
+                BranchKind::Return,
+                BranchKind::Conditional
+            ]
         );
     }
 }

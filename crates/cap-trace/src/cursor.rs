@@ -186,14 +186,16 @@ mod tests {
 
         let mut first = TraceCursor::new(bytes.as_slice());
         for _ in 0..300 {
-            first.next_event().expect("clean input").expect("has events");
+            first
+                .next_event()
+                .expect("clean input")
+                .expect("has events");
         }
         let pos = first.position();
         assert_eq!(pos.events, 300);
 
         // Simulate open_at: slice from the byte offset.
-        let mut resumed =
-            TraceCursor::with_position(&bytes[pos.byte_offset as usize..], pos);
+        let mut resumed = TraceCursor::with_position(&bytes[pos.byte_offset as usize..], pos);
         let mut tail = Vec::new();
         while let Some(e) = resumed.next_event().expect("clean input") {
             tail.push(e);

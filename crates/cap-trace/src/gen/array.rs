@@ -89,7 +89,10 @@ impl ArrayWorkload {
         assert!(!config.arrays.is_empty(), "need at least one array");
         for a in &config.arrays {
             assert!(a.len > 0, "array length must be positive");
-            assert!(!a.field_offsets.is_empty(), "array needs at least one field");
+            assert!(
+                !a.field_offsets.is_empty(),
+                "array needs at least one field"
+            );
         }
         let mut ips = IpAllocator::new(seat.ip_base);
         let mut bases = Vec::new();
@@ -155,7 +158,12 @@ impl ArrayWorkload {
                 loads += 1;
             }
             // Consume the loaded value, as the loop body would.
-            b.op(use_ip, OpLatency::Alu, Some(acc), [Some(acc), Some(val_reg)]);
+            b.op(
+                use_ip,
+                OpLatency::Alu,
+                Some(acc),
+                [Some(acc), Some(val_reg)],
+            );
             self.cursor += 1;
             b.cond_branch(branch_ip, self.cursor < spec.len);
         }
@@ -245,7 +253,10 @@ mod tests {
         let addrs: Vec<u64> = trace.loads().map(|l| l.addr).collect();
         // Two sweeps over two different arrays — disjoint address ranges.
         assert_ne!(addrs[0], addrs[4]);
-        assert!(addrs[4] > addrs[3], "second array must live above the first");
+        assert!(
+            addrs[4] > addrs[3],
+            "second array must live above the first"
+        );
     }
 
     #[test]

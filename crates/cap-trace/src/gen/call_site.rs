@@ -116,8 +116,8 @@ impl CallSiteWorkload {
     }
 
     fn one_call(&mut self, b: &mut TraceBuilder, rng: &mut StdRng) -> usize {
-        let noisy = self.config.noise_percent > 0
-            && rng.gen_range(0..100) < self.config.noise_percent;
+        let noisy =
+            self.config.noise_percent > 0 && rng.gen_range(0..100) < self.config.noise_percent;
         let (site, base) = if noisy {
             let s = rng.gen_range(0..self.config.sites);
             (s, self.site_bases[s])
@@ -241,7 +241,11 @@ mod tests {
             .filter(|br| br.kind == BranchKind::Call)
             .map(|br| br.ip)
             .collect();
-        assert_eq!(call_ips.len(), 3, "pattern 0,1,2,0 exercises 3 static sites");
+        assert_eq!(
+            call_ips.len(),
+            3,
+            "pattern 0,1,2,0 exercises 3 static sites"
+        );
     }
 
     #[test]
@@ -258,7 +262,11 @@ mod tests {
         let addrs: Vec<u64> = trace.loads().map(|l| l.addr).collect();
         // With 100% noise the sequence is site-random; a strict period of 4
         // across 16 periods is astronomically unlikely.
-        let periodic = addrs.chunks(4).collect::<Vec<_>>().windows(2).all(|w| w[0] == w[1]);
+        let periodic = addrs
+            .chunks(4)
+            .collect::<Vec<_>>()
+            .windows(2)
+            .all(|w| w[0] == w[1]);
         assert!(!periodic);
     }
 

@@ -111,7 +111,12 @@ impl Workload for GlobalsWorkload {
             // Every loaded value feeds dependent work, as compiled code
             // would — this is what puts load-to-use latency on the
             // critical path.
-            builder.op(self.use_ip, OpLatency::Alu, Some(acc), [Some(acc), Some(val)]);
+            builder.op(
+                self.use_ip,
+                OpLatency::Alu,
+                Some(acc),
+                [Some(acc), Some(val)],
+            );
             if self.config.branch_every > 0 && n % self.config.branch_every == 0 {
                 builder.cond_branch(self.branch_ip, rng.gen_bool(0.7));
             }

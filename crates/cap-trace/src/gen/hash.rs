@@ -63,23 +63,21 @@ impl HashWorkload {
     /// Panics if `buckets` is not a power of two or `hot_keys == 0`.
     #[must_use]
     pub fn new(config: HashConfig, seat: Seat, rng: &mut StdRng) -> Self {
-        assert!(config.buckets.is_power_of_two(), "buckets must be a power of two");
+        assert!(
+            config.buckets.is_power_of_two(),
+            "buckets must be a power of two"
+        );
         assert!(config.hot_keys > 0, "need at least one hot key");
         assert!(config.cold_percent <= 100, "cold_percent is a percentage");
         let table_base = seat.heap_base;
-        let mut heap = HeapModel::new(
-            seat.heap_base + (config.buckets as u64) * 8 + 4096,
-            16,
-        );
+        let mut heap = HeapModel::new(seat.heap_base + (config.buckets as u64) * 8 + 4096, 16);
         let chains = (0..config.buckets)
             .map(|_| {
                 let len = rng.gen_range(0..=config.max_chain);
                 (0..len).map(|_| heap.alloc(config.node_size)).collect()
             })
             .collect();
-        let hot_sequence = (0..config.hot_keys)
-            .map(|_| rng.gen::<u64>())
-            .collect();
+        let hot_sequence = (0..config.hot_keys).map(|_| rng.gen::<u64>()).collect();
         let mut ips = IpAllocator::new(seat.ip_base);
         let head_ip = ips.next_ip();
         let chain_ip = ips.next_ip();

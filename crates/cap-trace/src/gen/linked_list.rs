@@ -150,7 +150,12 @@ impl LinkedListWorkload {
                 loads += 1;
             }
             // sum += p->val, as in the paper's §2.1 example.
-            b.op(self.use_ip, OpLatency::Alu, Some(acc), [Some(acc), Some(val_reg)]);
+            b.op(
+                self.use_ip,
+                OpLatency::Alu,
+                Some(acc),
+                [Some(acc), Some(val_reg)],
+            );
             // Loop back-edge: taken while more nodes remain.
             b.cond_branch(self.loop_branch_ip, i + 1 < nodes.len());
         }
@@ -223,7 +228,10 @@ impl DoublyLinkedListWorkload {
     /// Panics if `config.nodes < 2`.
     #[must_use]
     pub fn new(config: DoublyLinkedListConfig, seat: Seat, rng: &mut StdRng) -> Self {
-        assert!(config.nodes >= 2, "a doubly linked list walk needs >= 2 nodes");
+        assert!(
+            config.nodes >= 2,
+            "a doubly linked list walk needs >= 2 nodes"
+        );
         let mut heap = HeapModel::new(seat.heap_base, 16);
         let nodes = heap.alloc_nodes(config.nodes, config.node_size, config.layout, rng);
         let mut ips = IpAllocator::new(seat.ip_base);
@@ -354,8 +362,14 @@ mod tests {
         wl.emit(&mut b, &mut r, 16);
         let trace = b.finish();
         let addrs: Vec<u64> = trace.loads().map(|l| l.addr).collect();
-        let deltas: BTreeSet<i64> = addrs.windows(2).map(|w| w[1] as i64 - w[0] as i64).collect();
-        assert!(deltas.len() > 1, "fragmented walk must not be constant stride");
+        let deltas: BTreeSet<i64> = addrs
+            .windows(2)
+            .map(|w| w[1] as i64 - w[0] as i64)
+            .collect();
+        assert!(
+            deltas.len() > 1,
+            "fragmented walk must not be constant stride"
+        );
     }
 
     #[test]
@@ -365,7 +379,10 @@ mod tests {
         wl.emit(&mut b, &mut r, 9);
         let trace = b.finish();
         for l in trace.loads() {
-            assert!(l.addr_src.is_some(), "RDS loads must chase a pointer register");
+            assert!(
+                l.addr_src.is_some(),
+                "RDS loads must chase a pointer register"
+            );
         }
     }
 
@@ -382,7 +399,10 @@ mod tests {
         wl.emit(&mut b, &mut r, 200);
         let trace = b.finish();
         let unique: BTreeSet<u64> = trace.loads().map(|l| l.addr).collect();
-        assert!(unique.len() > 8, "mutation should introduce fresh node addresses");
+        assert!(
+            unique.len() > 8,
+            "mutation should introduce fresh node addresses"
+        );
     }
 
     #[test]

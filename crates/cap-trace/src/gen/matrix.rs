@@ -64,7 +64,10 @@ impl MatrixWorkload {
     /// Panics if dimensions or stream count are zero.
     #[must_use]
     pub fn new(config: MatrixConfig, seat: Seat, _rng: &mut StdRng) -> Self {
-        assert!(config.rows > 0 && config.cols > 0, "matrix must be non-empty");
+        assert!(
+            config.rows > 0 && config.cols > 0,
+            "matrix must be non-empty"
+        );
         assert!(config.streams > 0, "need at least one stream");
         let matrix_bytes = (config.rows * config.cols) as u64 * config.elem_size;
         let stream_bases = (0..config.streams as u64)
@@ -202,7 +205,10 @@ mod tests {
         wl.emit(&mut b, &mut r, 40_000);
         let trace = b.finish();
         let unique: BTreeSet<u64> = trace.loads().map(|l| l.addr).collect();
-        assert!(unique.len() > 8192, "MM working set must exceed LT capacity");
+        assert!(
+            unique.len() > 8192,
+            "MM working set must exceed LT capacity"
+        );
     }
 
     #[test]
@@ -212,7 +218,10 @@ mod tests {
         wl.emit(&mut b, &mut r, 16);
         let trace = b.finish();
         let loads: Vec<_> = trace.loads().collect();
-        assert_ne!(loads[0].addr, loads[1].addr, "streams start at distinct bases");
+        assert_ne!(
+            loads[0].addr, loads[1].addr,
+            "streams start at distinct bases"
+        );
     }
 
     #[test]

@@ -109,9 +109,11 @@ impl Workload for MixWorkload {
         while load_count < loads {
             let idx = self.pick(rng);
             let before = builder.len();
-            self.components[idx]
-                .workload
-                .emit(builder, rng, self.block_loads.min(loads - load_count));
+            self.components[idx].workload.emit(
+                builder,
+                rng,
+                self.block_loads.min(loads - load_count),
+            );
             load_count += builder.loads_since(before);
         }
     }
@@ -171,7 +173,10 @@ mod tests {
         let mut b = TraceBuilder::new();
         mix.emit(&mut b, &mut r2, 5000);
         let t = b.finish();
-        let heavy_loads = t.loads().filter(|l| l.ip & !0xFFFFF == heavy_region).count();
+        let heavy_loads = t
+            .loads()
+            .filter(|l| l.ip & !0xFFFFF == heavy_region)
+            .count();
         assert!(
             heavy_loads * 10 > t.load_count() * 7,
             "9:1 weighting should yield >70% heavy loads, got {heavy_loads}/{}",

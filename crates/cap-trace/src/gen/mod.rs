@@ -103,8 +103,7 @@ impl SeatAllocator {
     pub fn next_seat(&mut self) -> Seat {
         let i = self.index;
         self.index += 1;
-        let reg_slots =
-            (crate::RegId::COUNT as u8 - Self::REG_FLOOR) / Self::REGS_PER_SEAT;
+        let reg_slots = (crate::RegId::COUNT as u8 - Self::REG_FLOOR) / Self::REGS_PER_SEAT;
         let salt = (splitmix(i) & 0x7FFF) * 4; // < 128 KiB, inside the region
         Seat {
             ip_base: Self::IP_FLOOR + i * Self::IP_REGION + salt,
@@ -173,7 +172,11 @@ mod tests {
         let sets: std::collections::BTreeSet<u64> = (0..64)
             .map(|_| (alloc.next_seat().ip_base >> 2) & 2047)
             .collect();
-        assert!(sets.len() > 48, "seat bases must spread over sets, got {}", sets.len());
+        assert!(
+            sets.len() > 48,
+            "seat bases must spread over sets, got {}",
+            sets.len()
+        );
     }
 
     #[test]

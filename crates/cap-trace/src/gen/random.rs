@@ -53,7 +53,10 @@ impl RandomWorkload {
     pub fn new(config: RandomConfig, seat: Seat, _rng: &mut StdRng) -> Self {
         assert!(config.static_loads > 0, "need at least one static load");
         assert!(config.region_size > 0, "region must be non-empty");
-        assert!(config.constant_percent <= 100, "constant_percent is a percentage");
+        assert!(
+            config.constant_percent <= 100,
+            "constant_percent is a percentage"
+        );
         let mut ips = IpAllocator::new(seat.ip_base);
         let load_ips = ips.code_block(config.static_loads);
         Self {

@@ -188,7 +188,8 @@ impl<'a> LineParser<'a> {
 
     fn int<T: std::str::FromStr>(&mut self) -> Result<T, ParseTraceError> {
         let f = self.next()?;
-        f.parse().map_err(|_| self.err(format!("bad integer '{f}'")))
+        f.parse()
+            .map_err(|_| self.err(format!("bad integer '{f}'")))
     }
 
     fn reg(&mut self) -> Result<Option<RegId>, ParseTraceError> {
@@ -397,7 +398,14 @@ mod tests {
     #[test]
     fn roundtrips_every_event_kind() {
         let mut b = TraceBuilder::new();
-        b.load_val(0x400, 0x1008, 8, 0xDEAD, Some(RegId::new(3)), Some(RegId::new(4)));
+        b.load_val(
+            0x400,
+            0x1008,
+            8,
+            0xDEAD,
+            Some(RegId::new(3)),
+            Some(RegId::new(4)),
+        );
         b.load(0x404, 0x2000, -16);
         b.store_dep(0x408, 0x3000, Some(RegId::new(5)), None);
         b.cond_branch(0x40C, true);

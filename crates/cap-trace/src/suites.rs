@@ -218,11 +218,11 @@ fn build_suite_mix(
     let mut mix = MixWorkload::new(120);
 
     let add_lists = |mix: &mut MixWorkload,
-                         seats: &mut SeatAllocator,
-                         rng: &mut StdRng,
-                         instances: usize,
-                         nodes: usize,
-                         weight: u32| {
+                     seats: &mut SeatAllocator,
+                     rng: &mut StdRng,
+                     instances: usize,
+                     nodes: usize,
+                     weight: u32| {
         for i in 0..instances {
             let cfg = LinkedListConfig {
                 lists: 1 + (i % 2),
@@ -239,11 +239,11 @@ fn build_suite_mix(
         }
     };
     let add_call_sites = |mix: &mut MixWorkload,
-                              seats: &mut SeatAllocator,
-                              rng: &mut StdRng,
-                              instances: usize,
-                              loads_in_callee: usize,
-                              weight: u32| {
+                          seats: &mut SeatAllocator,
+                          rng: &mut StdRng,
+                          instances: usize,
+                          loads_in_callee: usize,
+                          weight: u32| {
         let patterns: [&[usize]; 3] = [&[0, 1, 2, 0], &[0, 0, 1, 2, 3], &[0, 1, 0, 2]];
         for i in 0..instances {
             let cfg = CallSiteConfig {
@@ -713,7 +713,13 @@ fn build_suite_mix(
         }
         Suite::Nt | Suite::W95 => {
             let is_w95 = suite == Suite::W95;
-            add_globals(&mut mix, seats, rng, if is_w95 { 320 } else { 256 }, if is_w95 { 16 } else { 20 });
+            add_globals(
+                &mut mix,
+                seats,
+                rng,
+                if is_w95 { 320 } else { 256 },
+                if is_w95 { 16 } else { 20 },
+            );
             add_bump_lists(&mut mix, seats, rng, 2, 28, 2);
             add_long_array(&mut mix, seats, rng, 3072, 2);
             add_lists(&mut mix, seats, rng, 8, 10 + v % 4, 1);

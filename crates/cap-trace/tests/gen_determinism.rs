@@ -52,7 +52,10 @@ where
     let b = stream(&build, 0xC0FFEE);
     assert_eq!(a, b, "{family}: same seed must replay the identical stream");
     let c = stream(&build, 0xDECAF);
-    assert_ne!(a, c, "{family}: different seeds must produce different streams");
+    assert_ne!(
+        a, c,
+        "{family}: different seeds must produce different streams"
+    );
 }
 
 #[test]

@@ -5,9 +5,9 @@
 
 use cap_rand::check;
 use cap_rand::Rng;
+use cap_trace::builder::TraceBuilder;
 use cap_trace::io::{read_trace, read_trace_lenient, write_trace, ParseTraceError};
 use cap_trace::{OpLatency, RegId, Trace, TraceEvent};
-use cap_trace::builder::TraceBuilder;
 
 /// A trace exercising every `TraceEvent` variant and every optional-field
 /// shape the writer can emit.

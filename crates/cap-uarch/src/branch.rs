@@ -213,7 +213,10 @@ mod tests {
             }
             p.update(0x40, 0, taken);
         }
-        assert!(correct <= 110, "alternating defeats bimodal ({correct}/200)");
+        assert!(
+            correct <= 110,
+            "alternating defeats bimodal ({correct}/200)"
+        );
     }
 
     #[test]

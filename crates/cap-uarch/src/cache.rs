@@ -44,13 +44,19 @@ impl CacheConfig {
     }
 
     fn validate(&self) {
-        assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            self.line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         assert!(self.assoc >= 1, "associativity must be at least 1");
         assert!(
             self.size_bytes.is_multiple_of(self.line_bytes * self.assoc),
             "capacity must be divisible by line size x associativity"
         );
-        assert!(self.sets().is_power_of_two(), "set count must be a power of two");
+        assert!(
+            self.sets().is_power_of_two(),
+            "set count must be a power of two"
+        );
     }
 }
 

@@ -309,9 +309,7 @@ impl OooCore {
                     // `speculate` flag with no address (impossible from the
                     // shipped predictors, but reachable from a fault-injected
                     // one) falls through to the non-speculative path.
-                    let spec_addr = prediction
-                        .filter(|p| p.speculate)
-                        .and_then(|p| p.addr);
+                    let spec_addr = prediction.filter(|p| p.speculate).and_then(|p| p.addr);
                     let data_ready = match spec_addr {
                         Some(predicted) => {
                             // The prediction is available in the front end
@@ -421,8 +419,8 @@ pub fn run_trace(
 mod tests {
     use super::*;
     use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
-    use cap_predictor::stride::{StrideParams, StridePredictor};
     use cap_predictor::load_buffer::LoadBufferConfig;
+    use cap_predictor::stride::{StrideParams, StridePredictor};
     use cap_trace::builder::TraceBuilder;
     use cap_trace::record::OpLatency;
 
@@ -442,12 +440,7 @@ mod tests {
         for _ in 0..n / per_traversal {
             for (i, &addr) in pattern.iter().enumerate() {
                 b.load_dep(0x40, addr, 0, Some(ptr), Some(ptr));
-                b.op(
-                    0x44,
-                    OpLatency::Alu,
-                    Some(RegId::new(9)),
-                    [Some(ptr), None],
-                );
+                b.op(0x44, OpLatency::Alu, Some(RegId::new(9)), [Some(ptr), None]);
                 b.cond_branch(0x48, i + 1 < pattern.len());
             }
             for g in 0..12 {
@@ -487,7 +480,11 @@ mod tests {
         let mut cfg = config();
         cfg.alu_units = 2;
         let stats = run_trace(&independent_trace(10_000), &cfg, None, 0);
-        assert!(stats.ipc() <= 2.05, "2 ALUs cap IPC at 2, got {:.2}", stats.ipc());
+        assert!(
+            stats.ipc() <= 2.05,
+            "2 ALUs cap IPC at 2, got {:.2}",
+            stats.ipc()
+        );
     }
 
     #[test]
@@ -526,7 +523,10 @@ mod tests {
         assert!((rate - stats.l1_hit_rate).abs() < 1e-12);
         // Occupancy gauges were published and are plausible.
         let l1_live = snap.gauge(crate::names::L1_LIVE_LINES).unwrap_or(-1);
-        assert!(l1_live > 0 && l1_live <= 1024, "L1 has 1024 lines, got {l1_live}");
+        assert!(
+            l1_live > 0 && l1_live <= 1024,
+            "L1 has 1024 lines, got {l1_live}"
+        );
         assert!(snap.gauge(crate::names::ROB_OCCUPANCY).is_some());
     }
 
@@ -574,7 +574,11 @@ mod tests {
             let mut rng = cap_rand::rngs::StdRng::seed_from_u64(5);
             let mut b = TraceBuilder::new();
             for i in 0..20_000u64 {
-                let taken = if random { rng.gen_bool(0.5) } else { i % 2 == 0 };
+                let taken = if random {
+                    rng.gen_bool(0.5)
+                } else {
+                    i % 2 == 0
+                };
                 b.cond_branch(0x40, taken);
                 b.alu(0x44);
             }
@@ -647,8 +651,12 @@ mod tests {
                     0x9000 + (i % 8) * 64
                 };
                 b.load_dep(0x48, load_addr, 0, Some(RegId::new(11)), None);
-                b.op(0x4C, OpLatency::Alu, Some(RegId::new(12)),
-                     [Some(RegId::new(12)), Some(RegId::new(11))]);
+                b.op(
+                    0x4C,
+                    OpLatency::Alu,
+                    Some(RegId::new(12)),
+                    [Some(RegId::new(12)), Some(RegId::new(11))],
+                );
             }
             b.finish()
         };
@@ -673,8 +681,12 @@ mod tests {
             b.op(0x40, OpLatency::Div, Some(data), [Some(data), None]);
             b.store_dep(0x44, 0x1000, Some(data), None);
             b.load_dep(0x48, 0x1000, 0, Some(RegId::new(11)), None);
-            b.op(0x4C, OpLatency::Alu, Some(RegId::new(12)),
-                 [Some(RegId::new(12)), Some(RegId::new(11))]);
+            b.op(
+                0x4C,
+                OpLatency::Alu,
+                Some(RegId::new(12)),
+                [Some(RegId::new(12)), Some(RegId::new(11))],
+            );
         }
         let trace = b.finish();
         let base = run_trace(&trace, &config(), None, 0);

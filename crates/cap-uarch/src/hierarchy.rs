@@ -71,8 +71,10 @@ impl MemoryHierarchy {
 
     /// Publishes the occupancy gauges of both cache levels.
     pub fn publish_occupancy(&self) {
-        self.obs.gauge(names::L1_LIVE_LINES, self.l1.occupancy() as i64);
-        self.obs.gauge(names::L2_LIVE_LINES, self.l2.occupancy() as i64);
+        self.obs
+            .gauge(names::L1_LIVE_LINES, self.l1.occupancy() as i64);
+        self.obs
+            .gauge(names::L2_LIVE_LINES, self.l2.occupancy() as i64);
     }
 
     /// The paper's configuration.
@@ -138,7 +140,10 @@ mod tests {
         }
         // Second pass: L1 thrashy, L2 should hit.
         let lat = m.access(0);
-        assert!(lat == 12 || lat == 3, "second-pass access must not go to memory");
+        assert!(
+            lat == 12 || lat == 3,
+            "second-pass access must not go to memory"
+        );
     }
 
     #[test]

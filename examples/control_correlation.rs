@@ -10,9 +10,9 @@
 //! cargo run --release --example control_correlation
 //! ```
 
+use cap_rand::SeedableRng;
 use cap_repro::prelude::*;
 use cap_trace::gen::call_site::{CallSiteConfig, CallSiteWorkload};
-use cap_rand::SeedableRng;
 
 fn run_with_history(trace: &cap_trace::Trace, length: usize) -> PredictorStats {
     let mut cfg = CapConfig::paper_default();

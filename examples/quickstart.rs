@@ -29,7 +29,10 @@ fn main() {
     let mut hybrid = HybridPredictor::new(HybridConfig::paper_default());
 
     // 3. Run each under the immediate-update model of Section 4.
-    println!("\n{:<18} {:>15} {:>10}", "predictor", "prediction rate", "accuracy");
+    println!(
+        "\n{:<18} {:>15} {:>10}",
+        "predictor", "prediction rate", "accuracy"
+    );
     for (name, stats) in [
         ("enhanced stride", Session::new(&mut stride).run(&trace)),
         ("CAP", Session::new(&mut cap).run(&trace)),

@@ -10,10 +10,10 @@
 //! cargo run --release --example rds_traversal
 //! ```
 
+use cap_rand::SeedableRng;
 use cap_repro::prelude::*;
 use cap_trace::alloc::LayoutPolicy;
 use cap_trace::gen::linked_list::{LinkedListConfig, LinkedListWorkload};
-use cap_rand::SeedableRng;
 
 fn main() {
     // A 12-node list on a fragmented heap: node addresses are irregular.
@@ -67,7 +67,10 @@ fn main() {
     for (name, stats) in [
         ("enhanced stride", Session::new(&mut stride).run(&trace)),
         ("CAP (base addresses)", Session::new(&mut cap).run(&trace)),
-        ("CAP (no global correlation)", Session::new(&mut cap_no_gc).run(&trace)),
+        (
+            "CAP (no global correlation)",
+            Session::new(&mut cap_no_gc).run(&trace),
+        ),
     ] {
         println!(
             "{:<28} {:>14.1}% {:>9.2}%",

@@ -48,13 +48,8 @@ fn main() {
     };
     let plain_stats = Session::new(&mut plain).run(&trace);
 
-    let mut guided = ProfileGuidedPredictor::new(
-        classes,
-        lb,
-        lt,
-        cap_params,
-        StrideParams::paper_default(),
-    );
+    let mut guided =
+        ProfileGuidedPredictor::new(classes, lb, lt, cap_params, StrideParams::paper_default());
     let guided_stats = Session::new(&mut guided).run(&trace);
 
     println!("\nat 1K/1K tables (quarter of the paper's baseline):");

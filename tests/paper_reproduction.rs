@@ -21,9 +21,8 @@ fn scale() -> Scale {
 #[test]
 fn fig5_orderings_and_mm_inversion() {
     let (data, _) = fig5::run(&scale());
-    let rate = |r: &cap_harness::runner::SuiteResults| {
-        r.suite_mean(PredictorStats::prediction_rate)
-    };
+    let rate =
+        |r: &cap_harness::runner::SuiteResults| r.suite_mean(PredictorStats::prediction_rate);
     assert!(rate(data.hybrid()) > rate(data.cap()));
     assert!(rate(data.cap()) > rate(data.stride()));
     // MM is the one suite where the stride side dominates.
@@ -38,8 +37,7 @@ fn fig5_orderings_and_mm_inversion() {
 #[test]
 fn fig6_lb_size_and_associativity() {
     let (data, _) = fig6::run(&scale());
-    let mean =
-        |i: usize| data.results[i].suite_mean(PredictorStats::prediction_rate);
+    let mean = |i: usize| data.results[i].suite_mean(PredictorStats::prediction_rate);
     // 2-way beats direct-mapped at 4K; 8K-2way >= 2K-2way.
     assert!(mean(2) >= mean(1), "4K2w {} vs 4K1w {}", mean(2), mean(1));
     assert!(mean(4) >= mean(0), "8K2w {} vs 2K2w {}", mean(4), mean(0));
@@ -53,7 +51,11 @@ fn fig6_lb_size_and_associativity() {
 #[test]
 fn fig7_speedups_positive_and_ordered() {
     let (data, _) = fig7::run(&scale());
-    assert!(data.hybrid_geomean() > 1.02, "hybrid {}", data.hybrid_geomean());
+    assert!(
+        data.hybrid_geomean() > 1.02,
+        "hybrid {}",
+        data.hybrid_geomean()
+    );
     assert!(data.hybrid_geomean() >= data.stride_geomean());
     for row in &data.rows {
         assert!(row.speedup(1) > 0.95, "{} regressed", row.trace);
@@ -85,7 +87,10 @@ fn fig9_correlation_and_history_length() {
         .zip(&data.without_correlation)
         .enumerate()
     {
-        assert!(w > wo, "correlation must help at length index {i}: {w} vs {wo}");
+        assert!(
+            w > wo,
+            "correlation must help at length index {i}: {w} vs {wo}"
+        );
     }
     // Very long histories are never the optimum.
     assert!(data.best_length_with() < 12);
