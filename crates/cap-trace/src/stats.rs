@@ -65,7 +65,7 @@ impl TraceStats {
                         }
                         Some(entry) => {
                             transitions += 1;
-                            let delta = l.addr as i64 - entry.0 as i64;
+                            let delta = l.addr.wrapping_sub(entry.0) as i64;
                             if delta == 0 {
                                 constant += 1;
                             }
@@ -131,6 +131,17 @@ mod tests {
         let s = TraceStats::compute(&b.finish());
         assert!(s.constant_fraction < 0.02);
         assert!(s.stride_fraction < 0.02);
+    }
+
+    #[test]
+    fn address_deltas_wrap_instead_of_overflowing() {
+        let mut b = TraceBuilder::new();
+        b.load(0x10, 0x8000_0000_0000_0000, 0);
+        b.load(0x10, 0x1, 0);
+        let s = TraceStats::compute(&b.finish());
+        assert_eq!(s.loads, 2);
+        assert_eq!(s.constant_fraction, 0.0);
+        assert_eq!(s.stride_fraction, 0.0);
     }
 
     #[test]
