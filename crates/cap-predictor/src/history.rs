@@ -11,9 +11,13 @@
 //!
 //! For experiment fidelity we store the last `N` raw addresses and fold on
 //! demand — this makes *history length* an exact, sweepable parameter
-//! (Figure 9). Hardware would keep only the folded register; the folded
-//! value we compute is identical to what an incremental implementation of
-//! width `index_bits + tag_bits` produces.
+//! (Figure 9): the fold covers exactly the last `length` addresses, and an
+//! older address cannot change it. Hardware would keep only an incremental
+//! register of `index_bits + tag_bits` bits, which ages an address out only
+//! once it is shifted past the top bit, so the two agree only when
+//! `length × shift ≥ index_bits + tag_bits`. At the paper's defaults
+//! (length 4, shift 3, 20 bits) such a register still holds the 5th–7th
+//! newest addresses.
 //!
 //! The addresses live inline in a fixed array of
 //! [`HistoryBuffer::CAPACITY`] = 12 slots, so a history is part of its
@@ -138,8 +142,10 @@ impl HistoryBuffer {
     /// the result into LT index and tag.
     ///
     /// Oldest address first, so the newest address's bits occupy the least
-    /// shifted (freshest) position — matching an incremental register that
-    /// shifts on every push.
+    /// shifted (freshest) position, as in an incremental register that
+    /// shifts on every push. Unlike that register, the fold covers exactly
+    /// the last `spec.length` addresses; the two agree only when
+    /// `length × shift ≥ index_bits + tag_bits`.
     #[must_use]
     pub fn fold(&self, spec: &HistorySpec) -> FoldedHistory {
         self.fold_last(spec, spec.length)
@@ -372,6 +378,28 @@ mod tests {
             h2.push(a, &s);
         }
         assert_eq!(h1.fold(&s), h2.fold(&s), "length-2 history keeps only 2");
+    }
+
+    #[test]
+    fn fold_covers_exactly_the_last_length_addresses() {
+        // Two histories that differ only in their 5th newest address.
+        let s = HistorySpec::paper_default();
+        let mask = (1u64 << s.width()) - 1;
+        let newest = [0x1000u64, 0x2340, 0x5678, 0x9AB0];
+        let (mut h1, mut h2) = (HistoryBuffer::new(), HistoryBuffer::new());
+        let (mut r1, mut r2) = (0u64, 0u64);
+        for (h, r, oldest) in [(&mut h1, &mut r1, 0xAAA0u64), (&mut h2, &mut r2, 0xBBB0)] {
+            for a in std::iter::once(oldest).chain(newest) {
+                h.push(a, &s);
+                *r = ((*r << s.shift) ^ (a >> 2)) & mask;
+            }
+        }
+        assert_eq!(
+            h1.fold(&s),
+            h2.fold(&s),
+            "older than length: out of the fold"
+        );
+        assert_ne!(r1, r2, "a 20-bit shift(3)-xor register still holds it");
     }
 
     #[test]
