@@ -6,9 +6,9 @@
 # exits nonzero.
 #
 # Usage: scripts/verify.sh [all|cluster|netchaos|bench|backends]
-#   all      (default) release build, the test suite, clippy, rustdoc,
-#            the quickstart and corruption-smoke examples, a perfbench
-#            build, then every gate below
+#   all      (default) release build, the test suite, clippy, rustfmt,
+#            rustdoc, the quickstart and corruption-smoke examples, a
+#            perfbench build, then every gate below
 #   cluster  a 3-node fleet behind the router: one node killed under
 #            traffic, the keeper promotes a respawned replacement from
 #            its shipped replica, the ledger still balances and the
@@ -128,6 +128,10 @@ core_gates() {
 
     step "clippy (all targets, warnings are errors)"
     cargo clippy --offline --workspace --all-targets -- -D warnings
+
+    # perfbench is not a workspace member, so this leaves it alone.
+    step "rustfmt (every workspace crate is formatted)"
+    cargo fmt --all -- --check
 
     # Deleting or narrowing a public item breaks only the doc links to it.
     step "rustdoc (intra-doc links, warnings are errors)"
