@@ -543,6 +543,39 @@ mod tests {
     }
 
     #[test]
+    fn every_register_in_every_operand_slot_roundtrips() {
+        let reg = |i: usize| Some(RegId::new((i % RegId::COUNT) as u8));
+        let mut events = Vec::new();
+        for i in 0..RegId::COUNT {
+            events.push(TraceEvent::Load(LoadRecord {
+                ip: 0x400,
+                addr: 0x1000,
+                offset: 0,
+                size: 8,
+                value: 0,
+                dst: reg(i),
+                addr_src: reg(i + 1),
+            }));
+            events.push(TraceEvent::Store(StoreRecord {
+                ip: 0x404,
+                addr: 0x2000,
+                size: 8,
+                data_src: reg(i + 2),
+                addr_src: reg(i + 3),
+            }));
+            events.push(TraceEvent::Op(OpRecord {
+                ip: 0x408,
+                latency: OpLatency::Alu,
+                dst: reg(i + 4),
+                srcs: [reg(i + 5), reg(i + 6)],
+            }));
+        }
+        let text: String = events.iter().map(|e| event_line(e) + "\n").collect();
+        let back = read_trace(text.as_bytes()).expect("canonical lines parse");
+        assert_eq!(back.events(), &events[..]);
+    }
+
+    #[test]
     fn negative_offsets_roundtrip() {
         let mut b = TraceBuilder::new();
         b.load(0x400, 0x1000, -128);

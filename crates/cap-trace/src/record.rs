@@ -22,8 +22,34 @@
 /// let r = RegId::new(3);
 /// assert_eq!(r.index(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RegId(u8);
+///
+/// A register is one byte with 192 values no register uses, so an
+/// `Option<RegId>` is one byte too and a [`TraceEvent`] keeps its variant
+/// tag in those spare values: 32 bytes per event. A bare `u8` has no spare
+/// value and would make every event 40 bytes.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RegId(Reg);
+
+macro_rules! register_names {
+    ($($name:ident)*) => {
+        /// The register names as a one-byte enum, declared in index order.
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        #[repr(u8)]
+        enum Reg {
+            $($name),*
+        }
+
+        /// Every register, indexed by its number.
+        const REGS: [Reg; RegId::COUNT] = [$(Reg::$name),*];
+    };
+}
+
+register_names! {
+    R0 R1 R2 R3 R4 R5 R6 R7 R8 R9 R10 R11 R12 R13 R14 R15
+    R16 R17 R18 R19 R20 R21 R22 R23 R24 R25 R26 R27 R28 R29 R30 R31
+    R32 R33 R34 R35 R36 R37 R38 R39 R40 R41 R42 R43 R44 R45 R46 R47
+    R48 R49 R50 R51 R52 R53 R54 R55 R56 R57 R58 R59 R60 R61 R62 R63
+}
 
 impl RegId {
     /// Number of architectural registers in the synthetic ISA.
@@ -41,7 +67,7 @@ impl RegId {
             "register index {index} out of range (< {})",
             Self::COUNT
         );
-        Self(index)
+        Self(REGS[index as usize])
     }
 
     /// The raw register index.
@@ -53,7 +79,19 @@ impl RegId {
 
 impl std::fmt::Display for RegId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "r{}", self.0)
+        write!(f, "r{}", self.0 as u8)
+    }
+}
+
+impl std::fmt::Debug for RegId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("RegId").field(&(self.0 as u8)).finish()
+    }
+}
+
+impl std::hash::Hash for RegId {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (self.0 as u8).hash(state);
     }
 }
 
@@ -385,6 +423,35 @@ mod tests {
         let r = RegId::new(63);
         assert_eq!(r.index(), 63);
         assert_eq!(r.to_string(), "r63");
+    }
+
+    #[test]
+    fn every_reg_id_keeps_its_index_name_and_order() {
+        use std::hash::{BuildHasher, RandomState};
+        let hasher = RandomState::new();
+        for i in 0..RegId::COUNT as u8 {
+            let r = RegId::new(i);
+            assert_eq!(r.index(), usize::from(i));
+            assert_eq!(r.to_string(), format!("r{i}"));
+            assert_eq!(format!("{r:?}"), format!("RegId({i})"));
+            assert_eq!(
+                hasher.hash_one(r),
+                hasher.hash_one(i),
+                "r{i} hashes as its u8"
+            );
+            if i > 0 {
+                assert!(RegId::new(i - 1) < r, "r{} < r{i}", i - 1);
+            }
+        }
+    }
+
+    /// Every trace layer holds events by value, so one more byte in a
+    /// record costs every trace 8 more bytes per event.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn trace_event_packs_into_32_bytes() {
+        assert_eq!(std::mem::size_of::<Option<RegId>>(), 1, "Option<RegId>");
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 32, "TraceEvent");
     }
 
     #[test]
